@@ -522,7 +522,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 				}
 				srv, err := lwt.NewServer(lwt.ServeOptions{
 					Backend: backend, Threads: threads, Shards: shards,
-					QueueDepth: 256, Batch: 32, LatencyWindow: 1 << 16,
+					QueueDepth: 256, Batch: 32,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -576,7 +576,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 // BenchmarkServeDeadlineThroughput measures what carrying an
 // end-to-end deadline costs the serving hot path: the same open-loop
 // producer group as BenchmarkServeThroughput, but every request is
-// submitted through SubmitDeadline with a budget that never fires
+// submitted with a Req.Deadline budget that never fires
 // (30s), so the measured delta against the plain mode is pure deadline
 // bookkeeping — the per-request expiry check at launch and the
 // deadline plumbing through the queue — not any shedding. The modes
@@ -602,7 +602,7 @@ func BenchmarkServeDeadlineThroughput(b *testing.B) {
 				}
 				srv, err := lwt.NewServer(lwt.ServeOptions{
 					Backend: backend, Threads: threads, Shards: shards,
-					QueueDepth: 256, Batch: 32, LatencyWindow: 1 << 16,
+					QueueDepth: 256, Batch: 32,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -693,7 +693,7 @@ func BenchmarkServeIOThroughput(b *testing.B) {
 					}
 					srv, err := lwt.NewServer(lwt.ServeOptions{
 						Backend: backend, Threads: threads, Shards: shards,
-						QueueDepth: 256, Batch: 32, LatencyWindow: 1 << 14,
+						QueueDepth: 256, Batch: 32,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -831,7 +831,6 @@ func BenchmarkServeAdaptive(b *testing.B) {
 				opts := lwt.ServeOptions{
 					Backend: backend, Threads: 1, Shards: baseShards,
 					QueueDepth: 64, MaxInFlight: 2, Batch: 8,
-					LatencyWindow: 1 << 14,
 				}
 				if mode == "adaptive" {
 					opts.Steal = true

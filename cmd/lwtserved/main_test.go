@@ -7,43 +7,7 @@ import (
 	"time"
 
 	lwt "repro"
-	"repro/internal/cluster"
 )
-
-// TestDeadlineOfParsing pins the budget extraction: header wins over
-// the query parameter, both are milliseconds-from-now, and garbage or
-// non-positive values mean no deadline.
-func TestDeadlineOfParsing(t *testing.T) {
-	mk := func(header, query string) *http.Request {
-		url := "/fib"
-		if query != "" {
-			url += "?deadline_ms=" + query
-		}
-		r := httptest.NewRequest(http.MethodGet, url, nil)
-		if header != "" {
-			r.Header.Set(cluster.DeadlineHeader, header)
-		}
-		return r
-	}
-	if !deadlineOf(mk("", "")).IsZero() {
-		t.Fatal("no budget anywhere, want zero deadline")
-	}
-	for _, bad := range []string{"x", "0", "-5"} {
-		if !deadlineOf(mk(bad, "")).IsZero() {
-			t.Fatalf("header %q, want zero deadline", bad)
-		}
-	}
-	before := time.Now()
-	dl := deadlineOf(mk("", "200"))
-	if got := dl.Sub(before); got <= 0 || got > 250*time.Millisecond {
-		t.Fatalf("query budget lands %v out, want ~200ms", got)
-	}
-	// Header wins: 50ms header against a 10s query parameter.
-	dl = deadlineOf(mk("50", "10000"))
-	if got := dl.Sub(before); got > time.Second {
-		t.Fatalf("header did not win over query: deadline %v out", got)
-	}
-}
 
 // TestHandleDeadlineBoundsWait pins the 504 contract the chaos drill
 // leans on: a body that never observes the cooperative cancel signal

@@ -54,7 +54,7 @@ func main() {
 							return fibULT(c, 16), nil
 						}, lwt.Req{})
 						if err != nil {
-							log.Fatalf("%s: SubmitULT: %v", backend, err)
+							log.Fatalf("%s: DoULT: %v", backend, err)
 						}
 						if v := f.MustWait(); v != 987 {
 							wrong.Add(1)
@@ -72,7 +72,7 @@ func main() {
 							return blas.Sasum(v), nil
 						}, lwt.Req{Key: fmt.Sprintf("session-%d", p)})
 						if err != nil {
-							log.Fatalf("%s: SubmitKeyed: %v", backend, err)
+							log.Fatalf("%s: Do (keyed): %v", backend, err)
 						}
 						if v := f.MustWait(); v != 256 {
 							wrong.Add(1)
@@ -88,7 +88,7 @@ func main() {
 						return blas.Sasum(v), nil
 					}, lwt.Req{})
 					if err != nil {
-						log.Fatalf("%s: Submit: %v", backend, err)
+						log.Fatalf("%s: Do: %v", backend, err)
 					}
 					if v := f.MustWait(); v != 512 {
 						wrong.Add(1)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -153,11 +154,13 @@ func (g *Gateway) StartDrain() { g.draining.Store(true) }
 // InFlight reports requests currently being proxied.
 func (g *Gateway) InFlight() int64 { return g.inflight.Load() }
 
-// requestDeadline extracts the client's end-to-end budget: the
-// DeadlineHeader (already decremented by upstream hops) or the
+// RequestDeadline extracts a request's end-to-end completion budget:
+// the DeadlineHeader (already decremented by upstream hops) or the
 // ?deadline_ms= query parameter, in integer milliseconds from now.
-// Zero time means none.
-func requestDeadline(r *http.Request) time.Time {
+// Zero time means none: the value is absent, non-numeric or not
+// positive. Budgets too large for a time.Duration are clamped to the
+// largest one, so a parsed deadline is never in the past.
+func RequestDeadline(r *http.Request) time.Time {
 	v := r.Header.Get(DeadlineHeader)
 	if v == "" {
 		v = r.URL.Query().Get("deadline_ms")
@@ -169,6 +172,7 @@ func requestDeadline(r *http.Request) time.Time {
 	if err != nil || ms <= 0 {
 		return time.Time{}
 	}
+	ms = min(ms, math.MaxInt64/int64(time.Millisecond))
 	return time.Now().Add(time.Duration(ms) * time.Millisecond)
 }
 
@@ -187,7 +191,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.proxied.Add(1)
 
 	key := r.URL.Query().Get("key")
-	deadline := requestDeadline(r)
+	deadline := RequestDeadline(r)
 	// Replaying a request is safe only when the method is idempotent
 	// and there is no body to re-send.
 	retryable := (r.Method == http.MethodGet || r.Method == http.MethodHead) && r.ContentLength == 0

@@ -33,23 +33,66 @@ const (
 	// cooldownSamples: samples to stay quiet after firing, so one
 	// incident produces one dump, not one per tick.
 	cooldownSamples = 30
+	// adoptRunLength: consecutive spiking samples after which the spike
+	// is the new normal and becomes the baseline. Longer than
+	// satRunLength and growRunLength, so a spike still fires the
+	// watchdog and grows the pool; shorter than cooldownSamples, so a
+	// permanent shift is absorbed before the watchdog could fire on it
+	// again.
+	adoptRunLength = 10
 )
+
+// p99Baseline is the EWMA P99 baseline that the watchdog and the
+// autoscaler both judge spikes against. A spiking sample stays out of
+// the EWMA, so one burst cannot drag the baseline toward it; a spike
+// that persists for adoptRunLength samples is a regime change, and its
+// P99 becomes the baseline. A sample with P99 = 0 (no completions in
+// the interval) carries no signal and changes nothing. Not safe for
+// concurrent use.
+type p99Baseline struct {
+	ewma time.Duration
+	warm int // nonzero-P99 samples absorbed so far
+	run  int // consecutive spiking samples
+}
+
+// spikes feeds one sample's P99 and reports whether it is a spike:
+// above factor times the baseline and above floor, once spikeWarmup
+// samples have seeded the baseline.
+func (b *p99Baseline) spikes(p99 time.Duration, factor int, floor time.Duration) bool {
+	if p99 <= 0 {
+		return false
+	}
+	if b.warm >= spikeWarmup && p99 > floor && p99 > time.Duration(factor)*b.ewma {
+		if b.run++; b.run < adoptRunLength {
+			return true
+		}
+		b.ewma, b.run = p99, 0
+		return false
+	}
+	b.run = 0
+	b.warm++
+	if b.ewma == 0 {
+		b.ewma = p99
+	} else {
+		b.ewma += (p99 - b.ewma) >> ewmaShift
+	}
+	return false
+}
 
 // anomalyDetector classifies a stream of Metrics samples into discrete
 // anomaly events. Two triggers:
 //
-//   - P99 spike: the recent-window P99 exceeds spikeFactor times its
-//     own EWMA baseline and the absolute spikeFloor.
+//   - P99 spike: the interval P99 exceeds spikeFactor times its
+//     p99Baseline and the absolute spikeFloor.
 //   - Sustained saturation: ErrSaturated rejections grew in each of
 //     satRunLength consecutive samples.
 //
 // After either fires the detector holds a cooldown before it can fire
-// again, and the baseline keeps updating throughout so a regime change
-// (permanently slower requests) stops looking anomalous once absorbed.
-// Not safe for concurrent use; the watchdog goroutine owns it.
+// again. A regime change (permanently slower requests) fires once: the
+// baseline adopts it within adoptRunLength samples, inside the
+// cooldown. Not safe for concurrent use; the watchdog goroutine owns it.
 type anomalyDetector struct {
-	baseline      time.Duration // EWMA of recent-window P99
-	warm          int           // nonzero-P99 samples seen so far
+	p99           p99Baseline
 	lastSaturated uint64
 	satRun        int
 	cooldown      int
@@ -71,19 +114,7 @@ func (d *anomalyDetector) observe(m Metrics) (reason string, fired bool) {
 		d.satRun = 0
 	}
 
-	spiking := d.warm >= spikeWarmup && d.baseline > 0 &&
-		p99 > spikeFloor && p99 > spikeFactor*d.baseline
-
-	// Baseline update: skip the sample that is itself a spike (it would
-	// drag the baseline toward the anomaly), absorb everything else.
-	if p99 > 0 && !spiking {
-		d.warm++
-		if d.baseline == 0 {
-			d.baseline = p99
-		} else {
-			d.baseline += (p99 - d.baseline) >> ewmaShift
-		}
-	}
+	spiking := d.p99.spikes(p99, spikeFactor, spikeFloor)
 
 	if d.cooldown > 0 {
 		d.cooldown--
@@ -92,7 +123,7 @@ func (d *anomalyDetector) observe(m Metrics) (reason string, fired bool) {
 	switch {
 	case spiking:
 		d.cooldown = cooldownSamples
-		return fmt.Sprintf("p99-spike: %v against baseline %v", p99, d.baseline), true
+		return fmt.Sprintf("p99-spike: %v against baseline %v", p99, d.p99.ewma), true
 	case d.satRun >= satRunLength:
 		d.cooldown = cooldownSamples
 		d.satRun = 0
@@ -102,27 +133,19 @@ func (d *anomalyDetector) observe(m Metrics) (reason string, fired bool) {
 	return "", false
 }
 
-// watchAnomalies is the watchdog goroutine: it samples the aggregate
-// Metrics every AnomalyInterval, feeds the detector, and invokes
-// Options.OnAnomaly when an anomaly fires. Started by New only when
-// OnAnomaly is set; exits when the server shuts down.
+// watchAnomalies is the watchdog goroutine: it feeds every
+// AnomalyInterval sample to the detector and invokes Options.OnAnomaly
+// when an anomaly fires. Started by New only when OnAnomaly is set;
+// exits when the server shuts down.
 func (s *Server) watchAnomalies() {
 	iv := s.opts.AnomalyInterval
 	if iv <= 0 {
 		iv = DefaultAnomalyInterval
 	}
-	tick := time.NewTicker(iv)
-	defer tick.Stop()
 	var det anomalyDetector
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-tick.C:
-			m := s.Metrics()
-			if reason, ok := det.observe(m); ok {
-				s.opts.OnAnomaly(reason, m)
-			}
+	s.watch(iv, func(m Metrics) {
+		if reason, ok := det.observe(m); ok {
+			s.opts.OnAnomaly(reason, m)
 		}
-	}
+	})
 }

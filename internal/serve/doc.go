@@ -103,11 +103,15 @@
 //     return core.ErrCanceled early. Cancellation is strictly
 //     cooperative: a handler that ignores the channel runs to the end
 //     and counts as Completed.
-//   - Latency is recorded per completion into both a bounded window
-//     (Latency, for P50/P99 quantiles) and a fixed-bound cumulative
-//     histogram (Hist over HistBounds, with LatencySum/Completed as the
-//     mean) — the histogram is what /metrics exports, since quantiles
-//     over a window cannot be aggregated across scrapes.
+//   - Latency is recorded per completion into one place: each shard's
+//     lock-free latency counters, the 1-2.5-5 ladder from 1µs to 10s
+//     with every interval split into eight equal counters. Hist is
+//     their coarse cumulative read over HistBounds (what /metrics
+//     exports, with LatencySum as the _sum); Latency reads lifetime
+//     P50/P95/P99 off the same counters, each at most 18.75% above the
+//     exact nearest-rank value. The watchdog and the autoscaler
+//     difference the counters between samples, so each judges only the
+//     completions since its last tick.
 //   - Sched carries the shard queue's cumulative queue.Counts (pushes,
 //     pops, steals, contended CAS retries, empty polls), surfaced so
 //     scheduler-level contention is visible next to request-level load.

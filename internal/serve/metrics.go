@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"sync"
+	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +29,37 @@ const numHistBuckets = len(histBounds) + 1
 // bucket is +Inf. Callers must not modify it.
 func HistBounds() []time.Duration { return histBounds[:] }
 
-// metrics is one shard's internal counter and latency-sample state.
+// The latency counters refine histBounds' 1-2.5-5 ladder: it runs from
+// 1µs to 10s, and each interval between neighbouring rungs is split into
+// subBuckets equal-width counters. One counter below the ladder holds
+// [0, 1µs] and one past it holds the rest.
+const (
+	subBuckets     = 8
+	ladderDecades  = 7 // 1µs .. 10s
+	numLatCounters = 1 + 3*ladderDecades*subBuckets + 1
+)
+
+// latEdges are the counters' inclusive upper edges, ascending; the
+// overflow counter has none. Every histBounds entry is an edge, so the
+// exported histogram is a sum over counters. A quantile read as the
+// upper edge of its counter is off by at most one counter width: 1.5/8
+// of the value at worst, at the bottom of a 1→2.5 interval.
+var latEdges = func() (e [numLatCounters - 1]time.Duration) {
+	e[0] = time.Microsecond
+	for i := 1; i < len(e); i++ {
+		// Ladder interval s starts at rung e[s*subBuckets] and spans
+		// 1→2.5, 2.5→5 or 5→10 of its decade.
+		s := (i - 1) / subBuckets
+		lo, hi := e[s*subBuckets], 2*e[s*subBuckets]
+		if s%3 == 0 {
+			hi = lo * 5 / 2
+		}
+		e[i] = lo + time.Duration(i-s*subBuckets)*(hi-lo)/subBuckets
+	}
+	return e
+}()
+
+// metrics is one shard's internal counter state.
 type metrics struct {
 	submitted atomic.Uint64 // accepted into the queue
 	completed atomic.Uint64 // request bodies finished (incl. failed/panicked)
@@ -40,68 +71,114 @@ type metrics struct {
 	panicked  atomic.Uint64 // bodies that panicked
 	steals    atomic.Uint64 // unkeyed requests this shard stole from another shard's queue
 
-	// hist counts completed requests per latency bucket (non-cumulative
-	// here; Metrics.Hist exposes the Prometheus-style cumulative form).
-	// latSum accumulates every observed latency for the _sum series.
-	hist   [numHistBuckets]atomic.Uint64
+	// lat counts completed requests per latency counter (latEdges) —
+	// the only record of request latency. latSum accumulates every
+	// observed latency for the _sum series and the mean.
+	lat    [numLatCounters]atomic.Uint64
 	latSum atomic.Int64
-
-	// lats is a ring of recent end-to-end request latencies
-	// (submission to completion), the window Metrics summarizes.
-	mu   sync.Mutex
-	lats []time.Duration
-	next int
-	wrap bool
 }
 
 // observe records one completed request's latency.
 func (m *metrics) observe(lat time.Duration) {
 	m.completed.Add(1)
-	b := 0
-	for b < len(histBounds) && lat > histBounds[b] {
-		b++
-	}
-	m.hist[b].Add(1)
+	k, _ := slices.BinarySearch(latEdges[:], lat)
+	m.lat[k].Add(1)
 	m.latSum.Add(int64(lat))
-	m.mu.Lock()
-	if len(m.lats) > 0 {
-		m.lats[m.next] = lat
-		m.next++
-		if m.next == len(m.lats) {
-			m.next = 0
-			m.wrap = true
-		}
-	}
-	m.mu.Unlock()
 }
 
-// histSnapshot reads the bucket counters once and returns the cumulative
+// latCounts is one read of a set of latency counters.
+type latCounts struct {
+	n   [numLatCounters]uint64
+	sum time.Duration
+}
+
+// load reads the latency counters once.
+func (m *metrics) load() (c latCounts) {
+	for i := range m.lat {
+		c.n[i] = m.lat[i].Load()
+	}
+	c.sum = time.Duration(m.latSum.Load())
+	return c
+}
+
+// histSnapshot reads the counters once and returns the cumulative
 // (Prometheus "le"-style) histogram: entry i counts requests with
 // latency <= histBounds[i], the final entry counts everything observed.
 func (m *metrics) histSnapshot() []uint64 {
+	c := m.load()
+	return c.hist()
+}
+
+// hist is histSnapshot over counters already read.
+func (c *latCounts) hist() []uint64 {
 	out := make([]uint64, numHistBuckets)
 	var run uint64
-	for i := range m.hist {
-		run += m.hist[i].Load()
-		out[i] = run
+	b := 0
+	for k, v := range c.n[:len(latEdges)] {
+		run += v
+		if b < len(histBounds) && latEdges[k] == histBounds[b] {
+			out[b] = run
+			b++
+		}
 	}
+	run += c.n[len(latEdges)]
+	out[b] = run
 	return out
 }
 
-// window snapshots the latency ring in no particular order.
-func (m *metrics) window() []time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := m.next
-	if m.wrap {
-		n = len(m.lats)
+// add sums another shard's counters into c.
+func (c *latCounts) add(o *latCounts) {
+	for i, v := range o.n {
+		c.n[i] += v
 	}
-	out := make([]time.Duration, n)
-	copy(out, m.lats[:n])
-	return out
+	c.sum += o.sum
 }
 
-// Metrics is a point-in-time snapshot of serving counters and recent
+// since returns the completions counted in c but not yet in prev, an
+// earlier read of the same counters.
+func (c *latCounts) since(prev *latCounts) latCounts {
+	d := latCounts{sum: c.sum - prev.sum}
+	for i, v := range c.n {
+		d.n[i] = v - prev.n[i]
+	}
+	return d
+}
+
+// stats summarizes the counted completions: Reps, Mean and the
+// P50/P95/P99 percentiles, each the upper edge of the counter holding
+// that nearest rank (the last edge for the overflow counter). Min, Max
+// and RSD stay zero; the counters cannot give them.
+func (c *latCounts) stats() microbench.Stats {
+	var total uint64
+	for _, v := range c.n {
+		total += v
+	}
+	if total == 0 {
+		return microbench.Stats{}
+	}
+	return microbench.Stats{
+		Mean: c.sum / time.Duration(total),
+		P50:  c.quantile(0.50, total),
+		P95:  c.quantile(0.95, total),
+		P99:  c.quantile(0.99, total),
+		Reps: int(total),
+	}
+}
+
+// quantile is the nearest-rank q-quantile (0 < q < 1) over total
+// counted completions, ranked the way microbench.Summarize ranks.
+func (c *latCounts) quantile(q float64, total uint64) time.Duration {
+	rank := uint64(math.Ceil(q * float64(total)))
+	var run uint64
+	for k, v := range c.n[:len(latEdges)] {
+		if run += v; run >= rank {
+			return latEdges[k]
+		}
+	}
+	return latEdges[len(latEdges)-1]
+}
+
+// Metrics is a point-in-time snapshot of serving counters and the
 // latency distribution — the throughput/queue-depth/percentile view a
 // serving deployment watches. Server.Metrics returns the aggregate
 // across shards (Shard == -1); Server.ShardMetrics returns one entry
@@ -167,15 +244,20 @@ type Metrics struct {
 	Uptime time.Duration
 	// Throughput is Completed divided by Uptime, in requests/second.
 	Throughput float64
-	// Latency summarizes the recent latency window: mean, RSD and the
-	// P50/P95/P99 percentiles (zero-valued until a request completes).
+	// Latency summarizes every completion over the server's lifetime,
+	// read off the same counters as Hist: Reps, Mean and the
+	// P50/P95/P99 percentiles, each reported as the upper edge of the
+	// fine latency counter holding it (at most 18.75% high; zero-valued
+	// until a request completes). Min, Max and RSD are not filled. The
+	// watchdog and the autoscaler see the same summary computed over
+	// only the completions since their previous sample instead.
 	// Latency is end-to-end — measured from the submission call, so for
 	// blocking submits it includes time spent waiting out backpressure,
 	// not just queued-to-completion service time.
 	Latency microbench.Stats
 	// Hist is the cumulative end-to-end latency histogram over the
-	// server's whole lifetime (unlike Latency, which covers only the
-	// recent window): Hist[i] counts completed requests with latency
+	// server's whole lifetime, a coarser read of the counters behind
+	// Latency: Hist[i] counts completed requests with latency
 	// <= HistBounds()[i], and the final entry — the +Inf bucket — counts
 	// every completion. Cumulative counts map directly onto Prometheus
 	// histogram "le" series.

@@ -113,7 +113,6 @@ func shardLabel(i int) string {
 // the next.
 func TestHistogramBuckets(t *testing.T) {
 	var m metrics
-	m.lats = make([]time.Duration, 4)
 	m.observe(histBounds[0])     // exactly the first bound -> bucket 0
 	m.observe(histBounds[0] + 1) // just past it -> bucket 1
 	m.observe(10 * time.Second)  // beyond every bound -> +Inf bucket

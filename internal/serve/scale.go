@@ -43,10 +43,11 @@ const (
 // AutoScale configures the shard autoscaler. The zero value leaves it
 // off: the autoscaler arms only when MaxShards exceeds Options.Shards.
 //
-// The controller samples the aggregate Metrics every Interval and feeds
-// a deterministic detector: sustained saturation — the queues' depth
+// The controller samples the aggregate Metrics every Interval, with
+// Latency covering only that interval's completions, and feeds a
+// deterministic detector: sustained saturation — the queues' depth
 // signal backing up past the per-shard in-flight cap, ErrSaturated
-// rejections growing, or P99 spiking over its EWMA baseline — for
+// rejections growing, or P99 spiking over its p99Baseline — for
 // growRunLength consecutive samples grows the routing set by one shard;
 // a pool that stays cold for shrinkRunLength samples shrinks by one.
 //
@@ -72,8 +73,7 @@ type AutoScale struct {
 // grow/shrink decisions. Not safe for concurrent use; the controller
 // goroutine owns it.
 type scaleDetector struct {
-	baseline      time.Duration // EWMA of recent-window P99
-	warm          int           // nonzero-P99 samples seen so far
+	p99           p99Baseline
 	lastSaturated uint64
 	hotRun        int
 	coldRun       int
@@ -96,25 +96,13 @@ func (d *scaleDetector) observe(m Metrics, maxInFlight int) int {
 	d.lastSaturated = m.Saturated
 
 	p99 := m.Latency.P99
-	// A high P99 with no live work behind it is a fossil: the latency
-	// window only refreshes on completions, so once the pool goes idle
-	// the last loaded regime's P99 freezes in place. Treating it as a
-	// spike would wedge the detector — spiking samples skip the baseline
-	// update, so the baseline could never catch up and cold (which
-	// requires !spiking) could never accumulate.
-	idle := m.QueueDepth == 0 && m.InFlight == 0
-	spiking := !idle && d.warm >= spikeWarmup && d.baseline > 0 && p99 > scaleSpikeFactor*d.baseline
-	// Baseline update mirrors the anomaly detector: skip the spiking
-	// sample itself, absorb everything else, so a regime change stops
-	// looking hot once the pool has scaled to it.
-	if p99 > 0 && !spiking {
-		d.warm++
-		if d.baseline == 0 {
-			d.baseline = p99
-		} else {
-			d.baseline += (p99 - d.baseline) >> ewmaShift
-		}
+	// An idle pool (nothing queued or in flight) carries no capacity
+	// signal, whatever P99 its last completions left behind: reading it
+	// as a spike would hold off the cold run that shrinks the pool.
+	if m.QueueDepth == 0 && m.InFlight == 0 {
+		p99 = 0
 	}
+	spiking := d.p99.spikes(p99, scaleSpikeFactor, 0)
 
 	hot := satGrew || depth >= float64(maxInFlight) || (spiking && m.QueueDepth > 0)
 	cold := m.QueueDepth == 0 && !satGrew && !spiking &&
@@ -147,27 +135,20 @@ func (d *scaleDetector) observe(m Metrics, maxInFlight int) int {
 	return 0
 }
 
-// watchScale is the autoscaler's controller goroutine: it samples the
-// aggregate Metrics every Scale.Interval, feeds the detector, and
-// applies its verdicts. Started by New only when Scale.MaxShards >
-// Shards; exits when the server shuts down.
+// watchScale is the autoscaler's controller goroutine: it feeds every
+// Scale.Interval sample to the detector and applies its verdicts.
+// Started by New only when Scale.MaxShards > Shards; exits when the
+// server shuts down.
 func (s *Server) watchScale() {
-	tick := time.NewTicker(s.opts.Scale.Interval)
-	defer tick.Stop()
 	var det scaleDetector
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-tick.C:
-			switch det.observe(s.Metrics(), s.opts.MaxInFlight) {
-			case 1:
-				s.grow()
-			case -1:
-				s.shrink()
-			}
+	s.watch(s.opts.Scale.Interval, func(m Metrics) {
+		switch det.observe(m, s.opts.MaxInFlight) {
+		case 1:
+			s.grow()
+		case -1:
+			s.shrink()
 		}
-	}
+	})
 }
 
 // grow adds one shard to the routing set: a previously scaled-down

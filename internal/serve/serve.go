@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/microbench"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -41,9 +40,6 @@ const (
 	// DefaultBatch is the largest request group launched per pump
 	// wakeup.
 	DefaultBatch = 64
-	// DefaultLatencyWindow is the number of recent latency samples each
-	// shard's metrics keep.
-	DefaultLatencyWindow = 4096
 	// DefaultTraceSample is the request-trace sampling interval: one
 	// request in every DefaultTraceSample emits its KindUser interval.
 	DefaultTraceSample = 8
@@ -97,9 +93,6 @@ type Options struct {
 	// straight into the backend's unbounded pools. <= 0 means
 	// QueueDepth.
 	MaxInFlight int
-	// LatencyWindow is the recent-sample count kept per shard for
-	// percentile metrics; <= 0 means DefaultLatencyWindow.
-	LatencyWindow int
 	// DrainTimeout bounds how long Close lets each shard keep launching
 	// queued requests. Work already launched always runs to completion;
 	// once the deadline passes, requests still queued resolve their
@@ -141,8 +134,9 @@ type Options struct {
 	// request). Requests slower than 25ms are always traced regardless
 	// of sampling, so tail outliers never slip between samples.
 	TraceSample int
-	// OnAnomaly, when non-nil, arms the anomaly watchdog: Metrics() is
-	// sampled every AnomalyInterval and the callback fires when the
+	// OnAnomaly, when non-nil, arms the anomaly watchdog: the aggregate
+	// Metrics are sampled every AnomalyInterval, with Latency covering
+	// only that interval's completions, and the callback fires when the
 	// detector sees a P99 spike against its EWMA baseline or sustained
 	// saturation growth (see anomalyDetector). The callback runs on the
 	// watchdog goroutine — lwtserved uses it to write a flight-recorder
@@ -411,9 +405,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = opts.QueueDepth
 	}
-	if opts.LatencyWindow <= 0 {
-		opts.LatencyWindow = DefaultLatencyWindow
-	}
 	if opts.TraceSample <= 0 {
 		opts.TraceSample = DefaultTraceSample
 	}
@@ -489,7 +480,7 @@ func New(opts Options) (*Server, error) {
 // caller starts its pump. Used by New for the base shards and by the
 // autoscaler for dynamic ones.
 func (s *Server) newShard(id int) *shard {
-	sh := &shard{
+	return &shard{
 		s:       s,
 		id:      id,
 		keyed:   make(chan *request, s.opts.QueueDepth),
@@ -498,8 +489,6 @@ func (s *Server) newShard(id int) *shard {
 		done:    make(chan struct{}),
 		ring:    s.rec.SharedRing(fmt.Sprintf("serve/%s/shard%d", s.opts.Backend, id), -(id + 1)),
 	}
-	sh.m.lats = make([]time.Duration, s.opts.LatencyWindow)
-	return sh
 }
 
 // MustNew is New for known-good options; it panics on error.
@@ -1130,14 +1119,19 @@ func submit[T any](sub *Submitter, ctx context.Context, deadline time.Time, pin 
 	}
 }
 
-// Snapshot reads the server's counters and latency windows once and
-// returns both views: the cross-shard aggregate (Metrics.Shard == -1)
-// and the per-shard breakdown (entry i is shard i, including shards
-// currently scaled out of the routing set — their counters stay
-// visible and monotonic). Each shard's latency ring is locked and
-// copied a single time, shared by both views — the form a metrics
-// scrape that wants aggregate and breakdown together should use.
+// Snapshot reads the server's counters once and returns both views:
+// the cross-shard aggregate (Metrics.Shard == -1) and the per-shard
+// breakdown (entry i is shard i, including shards currently scaled out
+// of the routing set — their counters stay visible and monotonic) —
+// the form a metrics scrape that wants aggregate and breakdown together
+// should use.
 func (s *Server) Snapshot() (Metrics, []Metrics) {
+	agg, per, _ := s.snapshot()
+	return agg, per
+}
+
+// snapshot is Snapshot plus the aggregate latency counters it read.
+func (s *Server) snapshot() (Metrics, []Metrics, latCounts) {
 	up := time.Since(s.start)
 	s.scaleMu.Lock()
 	all := append([]*shard(nil), s.all...)
@@ -1153,8 +1147,9 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 		ScaleDowns: s.scaleDowns.Load(),
 	}
 	per := make([]Metrics, len(all))
-	var window []time.Duration
+	var lat latCounts
 	for i, sh := range all {
+		c := sh.m.load()
 		mt := Metrics{
 			Backend:    s.opts.Backend,
 			Shard:      sh.id,
@@ -1173,8 +1168,9 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 			InFlight:   int(sh.inflight.Load()),
 			IOParked:   int(sh.ioparked.Load()),
 			Uptime:     up,
-			Hist:       sh.m.histSnapshot(),
-			LatencySum: time.Duration(sh.m.latSum.Load()),
+			Latency:    c.stats(),
+			Hist:       c.hist(),
+			LatencySum: c.sum,
 		}
 		if mt.QueueDepth < 0 {
 			mt.QueueDepth = 0 // transient: pop decrements before a racing push's increment lands
@@ -1182,15 +1178,11 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 		if rt := sh.rt.Load(); rt != nil {
 			mt.Sched = rt.SchedStats()
 		}
-		w := sh.m.window()
 		if secs := up.Seconds(); secs > 0 {
 			mt.Throughput = float64(mt.Completed) / secs
 		}
-		if len(w) > 0 {
-			mt.Latency = microbench.Summarize(w)
-		}
 		per[i] = mt
-		window = append(window, w...)
+		lat.add(&c)
 		agg.Submitted += mt.Submitted
 		agg.Completed += mt.Completed
 		agg.Saturated += mt.Saturated
@@ -1203,25 +1195,47 @@ func (s *Server) Snapshot() (Metrics, []Metrics) {
 		agg.QueueDepth += mt.QueueDepth
 		agg.InFlight += mt.InFlight
 		agg.IOParked += mt.IOParked
-		agg.LatencySum += mt.LatencySum
 		agg.Sched = agg.Sched.Plus(mt.Sched)
-		if agg.Hist == nil {
-			agg.Hist = make([]uint64, len(mt.Hist))
-		}
-		for b, v := range mt.Hist {
-			agg.Hist[b] += v
-		}
 	}
 	if secs := up.Seconds(); secs > 0 {
 		agg.Throughput = float64(agg.Completed) / secs
 	}
-	if len(window) > 0 {
-		agg.Latency = microbench.Summarize(window)
-	}
-	return agg, per
+	agg.Latency = lat.stats()
+	agg.Hist = lat.hist()
+	agg.LatencySum = lat.sum
+	return agg, per, lat
 }
 
-// Metrics snapshots the server's counters and recent latency windows,
+// sample is the watchdog's and the autoscaler's view of the server:
+// the aggregate Metrics with Latency summarizing only the completions
+// since the previous sample. prev holds the counters that sample read
+// and is advanced, so an interval with no completions reads P99 = 0
+// rather than the last busy interval's value.
+func (s *Server) sample(prev *latCounts) Metrics {
+	m, _, cur := s.snapshot()
+	d := cur.since(prev)
+	m.Latency = d.stats()
+	*prev = cur
+	return m
+}
+
+// watch is the controllers' loop: it passes f one sample every iv
+// until the server shuts down.
+func (s *Server) watch(iv time.Duration, f func(Metrics)) {
+	tick := time.NewTicker(iv)
+	defer tick.Stop()
+	var prev latCounts
+	for {
+		select {
+		case <-s.quit:
+			return
+		case <-tick.C:
+			f(s.sample(&prev))
+		}
+	}
+}
+
+// Metrics snapshots the server's counters and latency counters,
 // aggregated across every shard (Metrics.Shard is -1). Use ShardMetrics
 // for the per-shard breakdown, or Snapshot for both in one pass.
 func (s *Server) Metrics() Metrics {
@@ -1229,7 +1243,7 @@ func (s *Server) Metrics() Metrics {
 	return agg
 }
 
-// ShardMetrics snapshots each shard's own counters and latency window;
+// ShardMetrics snapshots each shard's own counters and latency counters;
 // entry i is shard i (Metrics.Shard = i). The sum over entries is
 // Metrics().
 func (s *Server) ShardMetrics() []Metrics {

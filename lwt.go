@@ -99,9 +99,6 @@
 //	}, lwt.Req{})
 //	v, err := f.Wait(ctx)
 //	g, err := lwt.Do(srv.Submitter(), ctx, handle, lwt.Req{Key: sessionID})
-//
-// The sixteen Submit*/TrySubmit* functions of earlier revisions remain
-// as deprecated wrappers; each is a one-line delegation to Do or DoULT.
 package lwt
 
 import (
@@ -273,7 +270,8 @@ type Submitter = serve.Submitter
 // Future is the result handle of a submission; see serve.Future.
 type Future[T any] = serve.Future[T]
 
-// ServerMetrics is a snapshot of a Server's counters and latency window.
+// ServerMetrics is a snapshot of a Server's counters and lifetime
+// latency distribution.
 type ServerMetrics = serve.Metrics
 
 // PanicError is the error a Future resolves to when a request body
@@ -302,11 +300,10 @@ func MustNewServer(opts ServeOptions) *Server { return serve.MustNew(opts) }
 // value is a plain submission — unkeyed, no deadline, blocking.
 type Req = serve.Req
 
-// Do queues fn as a tasklet-shaped request with the options in req —
-// the single submission entry point the legacy Submit*/TrySubmit*
-// permutations collapse into. With the zero Req, Do blocks on a full
-// queue until space frees, ctx is cancelled, or the server closes; a
-// deadline on ctx is adopted as the request's completion budget.
+// Do queues fn as a tasklet-shaped request with the options in req.
+// With the zero Req, Do blocks on a full queue until space frees, ctx
+// is cancelled, or the server closes; a deadline on ctx is adopted as
+// the request's completion budget.
 // Req.Key pins the request to its key's shard (FNV-1a hash), keeping
 // that shard's backend-local state warm for the session; Req.Deadline
 // sets an explicit budget — a request still queued when it passes is
@@ -323,128 +320,6 @@ func Do[T any](sub *Submitter, ctx context.Context, fn func() (T, error), req Re
 // parallelism on the serving runtime) and issue cancelable aio waits.
 func DoULT[T any](sub *Submitter, ctx context.Context, fn func(Ctx) (T, error), req Req) (*Future[T], error) {
 	return serve.DoULT(sub, ctx, fn, req)
-}
-
-// Submit queues fn as a tasklet-shaped request, blocking on a full
-// queue until space frees, ctx is cancelled, or the server closes.
-//
-// Deprecated: use Do with a zero Req.
-func Submit[T any](sub *Submitter, ctx context.Context, fn func() (T, error)) (*Future[T], error) {
-	return Do(sub, ctx, fn, Req{})
-}
-
-// TrySubmit is Submit without blocking: a full queue returns
-// ErrSaturated immediately.
-//
-// Deprecated: use Do with Req{NonBlocking: true}.
-func TrySubmit[T any](sub *Submitter, fn func() (T, error)) (*Future[T], error) {
-	return Do(sub, nil, fn, Req{NonBlocking: true})
-}
-
-// SubmitULT queues fn as a stackful ULT whose body receives the
-// cooperative context, for requests that spawn and join children.
-//
-// Deprecated: use DoULT with a zero Req.
-func SubmitULT[T any](sub *Submitter, ctx context.Context, fn func(Ctx) (T, error)) (*Future[T], error) {
-	return DoULT(sub, ctx, fn, Req{})
-}
-
-// TrySubmitULT is SubmitULT with ErrSaturated fast-reject.
-//
-// Deprecated: use DoULT with Req{NonBlocking: true}.
-func TrySubmitULT[T any](sub *Submitter, fn func(Ctx) (T, error)) (*Future[T], error) {
-	return DoULT(sub, nil, fn, Req{NonBlocking: true})
-}
-
-// SubmitKeyed is Submit with shard affinity: every submission carrying
-// the same key runs on the same backend runtime shard.
-//
-// Deprecated: use Do with Req{Key: key}.
-func SubmitKeyed[T any](sub *Submitter, ctx context.Context, key string, fn func() (T, error)) (*Future[T], error) {
-	return Do(sub, ctx, fn, Req{Key: key})
-}
-
-// TrySubmitKeyed is SubmitKeyed without blocking: a full pinned shard
-// returns ErrSaturated directly — affinity is never traded for an
-// emptier queue.
-//
-// Deprecated: use Do with Req{Key: key, NonBlocking: true}.
-func TrySubmitKeyed[T any](sub *Submitter, key string, fn func() (T, error)) (*Future[T], error) {
-	return Do(sub, nil, fn, Req{Key: key, NonBlocking: true})
-}
-
-// SubmitULTKeyed is SubmitKeyed for stackful request bodies that spawn
-// and join children on the pinned shard's runtime.
-//
-// Deprecated: use DoULT with Req{Key: key}.
-func SubmitULTKeyed[T any](sub *Submitter, ctx context.Context, key string, fn func(Ctx) (T, error)) (*Future[T], error) {
-	return DoULT(sub, ctx, fn, Req{Key: key})
-}
-
-// TrySubmitULTKeyed is SubmitULTKeyed with ErrSaturated fast-reject on
-// the pinned shard.
-//
-// Deprecated: use DoULT with Req{Key: key, NonBlocking: true}.
-func TrySubmitULTKeyed[T any](sub *Submitter, key string, fn func(Ctx) (T, error)) (*Future[T], error) {
-	return DoULT(sub, nil, fn, Req{Key: key, NonBlocking: true})
-}
-
-// SubmitDeadline is Submit with an end-to-end deadline.
-//
-// Deprecated: use Do with Req{Deadline: deadline}.
-func SubmitDeadline[T any](sub *Submitter, ctx context.Context, deadline time.Time, fn func() (T, error)) (*Future[T], error) {
-	return Do(sub, ctx, fn, Req{Deadline: deadline})
-}
-
-// SubmitULTDeadline is SubmitDeadline for stackful request bodies.
-//
-// Deprecated: use DoULT with Req{Deadline: deadline}.
-func SubmitULTDeadline[T any](sub *Submitter, ctx context.Context, deadline time.Time, fn func(Ctx) (T, error)) (*Future[T], error) {
-	return DoULT(sub, ctx, fn, Req{Deadline: deadline})
-}
-
-// TrySubmitDeadline is SubmitDeadline with ErrSaturated fast-reject.
-//
-// Deprecated: use Do with Req{Deadline: deadline, NonBlocking: true}.
-func TrySubmitDeadline[T any](sub *Submitter, deadline time.Time, fn func() (T, error)) (*Future[T], error) {
-	return Do(sub, nil, fn, Req{Deadline: deadline, NonBlocking: true})
-}
-
-// TrySubmitULTDeadline is SubmitULTDeadline with ErrSaturated
-// fast-reject.
-//
-// Deprecated: use DoULT with Req{Deadline: deadline, NonBlocking: true}.
-func TrySubmitULTDeadline[T any](sub *Submitter, deadline time.Time, fn func(Ctx) (T, error)) (*Future[T], error) {
-	return DoULT(sub, nil, fn, Req{Deadline: deadline, NonBlocking: true})
-}
-
-// TrySubmitKeyedDeadline is TrySubmitKeyed with an end-to-end deadline.
-//
-// Deprecated: use Do with Req{Key: key, Deadline: deadline, NonBlocking: true}.
-func TrySubmitKeyedDeadline[T any](sub *Submitter, key string, deadline time.Time, fn func() (T, error)) (*Future[T], error) {
-	return Do(sub, nil, fn, Req{Key: key, Deadline: deadline, NonBlocking: true})
-}
-
-// SubmitKeyedDeadline is SubmitKeyed with an end-to-end deadline.
-//
-// Deprecated: use Do with Req{Key: key, Deadline: deadline}.
-func SubmitKeyedDeadline[T any](sub *Submitter, ctx context.Context, key string, deadline time.Time, fn func() (T, error)) (*Future[T], error) {
-	return Do(sub, ctx, fn, Req{Key: key, Deadline: deadline})
-}
-
-// SubmitULTKeyedDeadline is SubmitULTKeyed with an end-to-end deadline.
-//
-// Deprecated: use DoULT with Req{Key: key, Deadline: deadline}.
-func SubmitULTKeyedDeadline[T any](sub *Submitter, ctx context.Context, key string, deadline time.Time, fn func(Ctx) (T, error)) (*Future[T], error) {
-	return DoULT(sub, ctx, fn, Req{Key: key, Deadline: deadline})
-}
-
-// TrySubmitULTKeyedDeadline is TrySubmitULTKeyed with an end-to-end
-// deadline.
-//
-// Deprecated: use DoULT with Req{Key: key, Deadline: deadline, NonBlocking: true}.
-func TrySubmitULTKeyedDeadline[T any](sub *Submitter, key string, deadline time.Time, fn func(Ctx) (T, error)) (*Future[T], error) {
-	return DoULT(sub, nil, fn, Req{Key: key, Deadline: deadline, NonBlocking: true})
 }
 
 // RouterByName returns a fresh submission router: "p2c" (the default,
