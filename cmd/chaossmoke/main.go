@@ -33,16 +33,12 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,6 +47,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/prom"
+	"repro/internal/smoke"
 )
 
 var (
@@ -67,119 +64,6 @@ var (
 // request by -deadline, so anything still unanswered here hung.
 var client = &http.Client{Timeout: 60 * time.Second}
 
-var listenRe = regexp.MustCompile(`listening on (\S+)`)
-
-// proc is one supervised child process with a scanned log.
-type proc struct {
-	name string
-	cmd  *exec.Cmd
-	addr chan string
-
-	mu       sync.Mutex
-	exited   bool
-	exitCode int
-	waitDone chan struct{}
-}
-
-func startProc(name, bin string, args ...string) (*proc, error) {
-	logPath := filepath.Join(*logDir, name+".log")
-	logFile, err := os.Create(logPath)
-	if err != nil {
-		return nil, err
-	}
-	p := &proc{name: name, addr: make(chan string, 1), waitDone: make(chan struct{})}
-	p.cmd = exec.Command(bin, args...)
-	pr, pw := io.Pipe()
-	p.cmd.Stdout = pw
-	p.cmd.Stderr = pw
-	go func() {
-		defer logFile.Close()
-		sc := bufio.NewScanner(pr)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		announced := false
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(logFile, line)
-			if !announced {
-				if m := listenRe.FindStringSubmatch(line); m != nil {
-					announced = true
-					p.addr <- m[1]
-				}
-			}
-		}
-	}()
-	if err := p.cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start %s: %w", name, err)
-	}
-	go func() {
-		err := p.cmd.Wait()
-		pw.Close()
-		p.mu.Lock()
-		p.exited = true
-		p.exitCode = 0
-		if err != nil {
-			p.exitCode = -1
-			if ee, ok := err.(*exec.ExitError); ok {
-				p.exitCode = ee.ExitCode()
-			}
-		}
-		p.mu.Unlock()
-		close(p.waitDone)
-	}()
-	return p, nil
-}
-
-func (p *proc) waitAddr(d time.Duration) (string, error) {
-	select {
-	case a := <-p.addr:
-		return a, nil
-	case <-p.waitDone:
-		return "", fmt.Errorf("%s exited before announcing its address (see %s.log)", p.name, p.name)
-	case <-time.After(d):
-		return "", fmt.Errorf("%s did not announce its address within %v", p.name, d)
-	}
-}
-
-func (p *proc) signalAndWait(sig syscall.Signal, d time.Duration) (int, error) {
-	_ = p.cmd.Process.Signal(sig)
-	select {
-	case <-p.waitDone:
-	case <-time.After(d):
-		_ = p.cmd.Process.Kill()
-		return -1, fmt.Errorf("%s did not exit within %v of %v", p.name, d, sig)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.exitCode, nil
-}
-
-func (p *proc) kill() {
-	p.mu.Lock()
-	exited := p.exited
-	p.mu.Unlock()
-	if !exited && p.cmd.Process != nil {
-		_ = p.cmd.Process.Kill()
-	}
-}
-
-var failures atomic.Int32
-
-func failf(format string, args ...any) {
-	failures.Add(1)
-	log.Printf("FAIL: "+format, args...)
-}
-
-func fatalf(procs []*proc, format string, args ...any) {
-	log.Printf("FATAL: "+format, args...)
-	for _, p := range procs {
-		if p != nil {
-			p.kill()
-		}
-	}
-	os.Exit(1)
-}
-
-// loadStats is what the background load accumulates.
 type loadStats struct {
 	sent, ok, errResp, lost atomic.Int64
 	maxElapsed              atomic.Int64 // ns, across terminal responses
@@ -253,11 +137,6 @@ func waitBreakerState(gateURL, workerID string, want float64, d time.Duration) b
 	return false
 }
 
-func logContains(name, substr string) bool {
-	b, err := os.ReadFile(filepath.Join(*logDir, name+".log"))
-	return err == nil && strings.Contains(string(b), substr)
-}
-
 func main() {
 	flag.Parse()
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
@@ -272,34 +151,34 @@ func main() {
 	// gate over [proxy, worker1, worker2]. Health probes bypass the
 	// proxy's faults; fail-after is out of reach so every bit of
 	// containment below is the breaker's, not ejection's.
-	var procs []*proc
-	var workerProcs []*proc
+	var procs []*smoke.Proc
+	var workerProcs []*smoke.Proc
 	var workerAddrs []string
 	for i := 0; i < 3; i++ {
-		p, err := startProc(fmt.Sprintf("worker-%d", i), *workerBin,
+		p, err := smoke.Start(*logDir, fmt.Sprintf("worker-%d", i), *workerBin,
 			"-addr", "127.0.0.1:0", "-shards", "2", "-threads", "1",
 			"-queue", "256", "-batch", "16", "-drain", "20s")
 		if err != nil {
-			fatalf(procs, "%v", err)
+			smoke.Fatalf(procs, "%v", err)
 		}
 		procs = append(procs, p)
 		workerProcs = append(workerProcs, p)
-		a, err := p.waitAddr(30 * time.Second)
+		a, err := p.WaitAddr(30 * time.Second)
 		if err != nil {
-			fatalf(procs, "%v", err)
+			smoke.Fatalf(procs, "%v", err)
 		}
 		workerAddrs = append(workerAddrs, a)
 		log.Printf("worker-%d listening on %s", i, a)
 	}
 	proxy, err := chaos.NewProxy(workerAddrs[0], chaos.Options{Spare: []string{"/healthz"}})
 	if err != nil {
-		fatalf(procs, "chaos proxy: %v", err)
+		smoke.Fatalf(procs, "chaos proxy: %v", err)
 	}
 	defer proxy.Close()
 	faultedID := proxy.Addr() // the gate knows worker 0 by the proxy's address
 	log.Printf("chaos proxy %s -> worker-0 %s", faultedID, workerAddrs[0])
 
-	gate, err := startProc("gate", *gateBin,
+	gate, err := smoke.Start(*logDir, "gate", *gateBin,
 		"-addr", "127.0.0.1:0",
 		"-workers", strings.Join([]string{faultedID, workerAddrs[1], workerAddrs[2]}, ","),
 		"-check-interval", "200ms", "-check-timeout", "1s",
@@ -308,12 +187,12 @@ func main() {
 		"-attempt-timeout", "250ms",
 		"-breaker-window", "8", "-breaker-ratio", "0.5", "-breaker-cooldown", "500ms")
 	if err != nil {
-		fatalf(procs, "%v", err)
+		smoke.Fatalf(procs, "%v", err)
 	}
 	procs = append(procs, gate)
-	gateAddr, err := gate.waitAddr(30 * time.Second)
+	gateAddr, err := gate.WaitAddr(30 * time.Second)
 	if err != nil {
-		fatalf(procs, "%v", err)
+		smoke.Fatalf(procs, "%v", err)
 	}
 	gateURL := "http://" + gateAddr
 	log.Printf("gate listening on %s", gateAddr)
@@ -330,7 +209,7 @@ func main() {
 		time.Sleep(100 * time.Millisecond)
 	}
 	if !ready {
-		fatalf(procs, "gate never became ready")
+		smoke.Fatalf(procs, "gate never became ready")
 	}
 
 	// Map a keyed session onto the faulted worker for the pinned-504
@@ -344,7 +223,7 @@ func main() {
 		}
 	}
 	if faultedKey == "" {
-		fatalf(procs, "no key maps to the faulted worker")
+		smoke.Fatalf(procs, "no key maps to the faulted worker")
 	}
 
 	// ---- Fault schedule under load: for each mode, arm it, hold load,
@@ -392,7 +271,7 @@ func main() {
 		// again once the fault clears.
 		if s.fault != chaos.Burst503 {
 			if !waitBreakerState(gateURL, faultedID, float64(0), *recovery+2*time.Second) {
-				failf("breaker did not close after %v cleared (state=%v)",
+				smoke.Failf("breaker did not close after %v cleared (state=%v)",
 					s.fault, promValue(gateURL, "lwt_gate_breaker_state", faultedID))
 			}
 		} else {
@@ -401,7 +280,7 @@ func main() {
 	}
 	opensAfter := promValue(gateURL, "lwt_gate_worker_breaker_opens_total", faultedID)
 	if opensAfter <= opensBefore {
-		failf("breaker_opens_total did not grow across the fault schedule (%v -> %v)", opensBefore, opensAfter)
+		smoke.Failf("breaker_opens_total did not grow across the fault schedule (%v -> %v)", opensBefore, opensAfter)
 	} else {
 		log.Printf("breaker cycled: opens %v -> %v, state closed again", opensBefore, opensAfter)
 	}
@@ -411,7 +290,7 @@ func main() {
 	// request pinned to it must burn its budget and get the gate's 504
 	// — and quickly, never the blackhole's hang.
 	if !waitBreakerState(gateURL, faultedID, 0, 5*time.Second) {
-		failf("breaker not closed before the deadline-exhaustion phase")
+		smoke.Failf("breaker not closed before the deadline-exhaustion phase")
 	}
 	proxy.Inject(chaos.Blackhole, 0)
 	exhaustedBefore := promValue(gateURL, "lwt_gate_deadline_exhausted_total", "")
@@ -423,19 +302,19 @@ func main() {
 		if status == http.StatusGatewayTimeout {
 			saw504 = true
 			if d := time.Since(t0); d > 2*time.Second {
-				failf("pinned 504 took %v, want ≈100ms budget", d)
+				smoke.Failf("pinned 504 took %v, want ≈100ms budget", d)
 			}
 		}
 	}
 	proxy.Clear()
 	if !saw504 {
-		failf("no 504 for a budget-exhausted keyed request pinned to a blackholed worker")
+		smoke.Failf("no 504 for a budget-exhausted keyed request pinned to a blackholed worker")
 	}
 	if after := promValue(gateURL, "lwt_gate_deadline_exhausted_total", ""); !(after > exhaustedBefore) {
-		failf("deadline_exhausted_total did not grow (%v -> %v)", exhaustedBefore, after)
+		smoke.Failf("deadline_exhausted_total did not grow (%v -> %v)", exhaustedBefore, after)
 	}
 	if !waitBreakerState(gateURL, faultedID, 0, 5*time.Second) {
-		failf("breaker did not recover after the blackhole phase")
+		smoke.Failf("breaker did not recover after the blackhole phase")
 	}
 
 	// ---- SIGSTOP phase: freeze worker 1 — a real stopped process, not
@@ -444,23 +323,23 @@ func main() {
 	// contains it until SIGCONT.
 	w1 := workerProcs[1]
 	log.Printf("SIGSTOPping worker-1 (%s) under load", workerAddrs[1])
-	if err := chaos.Pause(w1.cmd.Process.Pid); err != nil {
-		failf("SIGSTOP worker-1: %v", err)
+	if err := chaos.Pause(w1.Cmd.Process.Pid); err != nil {
+		smoke.Failf("SIGSTOP worker-1: %v", err)
 	}
 	time.Sleep(*faultFor)
 	stoppedState := promValue(gateURL, "lwt_gate_breaker_state", workerAddrs[1])
-	if err := chaos.Resume(w1.cmd.Process.Pid); err != nil {
-		failf("SIGCONT worker-1: %v", err)
+	if err := chaos.Resume(w1.Cmd.Process.Pid); err != nil {
+		smoke.Failf("SIGCONT worker-1: %v", err)
 	}
 	if stoppedState != float64(2) {
 		// The breaker may legitimately be half-open at sample time;
 		// what matters is that it opened at all.
 		if promValue(gateURL, "lwt_gate_worker_breaker_opens_total", workerAddrs[1]) < 1 {
-			failf("frozen worker never opened its breaker (state at freeze end: %v)", stoppedState)
+			smoke.Failf("frozen worker never opened its breaker (state at freeze end: %v)", stoppedState)
 		}
 	}
 	if !waitBreakerState(gateURL, workerAddrs[1], 0, 10*time.Second) {
-		failf("breaker did not close after SIGCONT")
+		smoke.Failf("breaker did not close after SIGCONT")
 	} else {
 		log.Printf("worker-1 thawed; breaker closed again")
 	}
@@ -475,37 +354,37 @@ func main() {
 	log.Printf("load done: sent=%d ok=%d explicit-errors=%d lost=%d max-elapsed=%v",
 		sent, okN, errN, lost, maxEl)
 	if lost != 0 {
-		failf("%d requests lost (no terminal response) — hangs leaked through the deadline tier", lost)
+		smoke.Failf("%d requests lost (no terminal response) — hangs leaked through the deadline tier", lost)
 	}
 	if okN == 0 {
-		failf("no successful responses under chaos load")
+		smoke.Failf("no successful responses under chaos load")
 	}
 	// The ceiling: every request carried a -deadline budget; nothing
 	// may take longer than budget + generous scheduling slack.
 	if ceiling := *deadline + 3*time.Second; maxEl > ceiling {
-		failf("max terminal-response latency %v exceeds the deadline ceiling %v", maxEl, ceiling)
+		smoke.Failf("max terminal-response latency %v exceeds the deadline ceiling %v", maxEl, ceiling)
 	}
 	// Containment: with retries, hedging headroom, and only one worker
 	// faulted at a time, client-visible errors stay a small fraction.
 	if errN*4 > sent {
-		failf("explicit errors %d exceed 25%% of %d sent — containment failed", errN, sent)
+		smoke.Failf("explicit errors %d exceed 25%% of %d sent — containment failed", errN, sent)
 	}
 
 	// ---- Clean drains: chaos over, nothing may be lost at shutdown.
-	if code, err := gate.signalAndWait(syscall.SIGTERM, 30*time.Second); err != nil || code != 0 {
-		failf("gate drain: exit=%d err=%v", code, err)
-	} else if !logContains("gate", "drained cleanly") {
-		failf("gate log missing 'drained cleanly'")
+	if code, err := gate.SignalAndWait(syscall.SIGTERM, 30*time.Second); err != nil || code != 0 {
+		smoke.Failf("gate drain: exit=%d err=%v", code, err)
+	} else if !gate.LogContains("drained cleanly") {
+		smoke.Failf("gate log missing 'drained cleanly'")
 	}
 	for i, p := range workerProcs {
-		if code, err := p.signalAndWait(syscall.SIGTERM, 30*time.Second); err != nil || code != 0 {
-			failf("worker-%d drain: exit=%d err=%v", i, code, err)
-		} else if !logContains(fmt.Sprintf("worker-%d", i), "drained cleanly") {
-			failf("worker-%d log missing 'drained cleanly'", i)
+		if code, err := p.SignalAndWait(syscall.SIGTERM, 30*time.Second); err != nil || code != 0 {
+			smoke.Failf("worker-%d drain: exit=%d err=%v", i, code, err)
+		} else if !p.LogContains("drained cleanly") {
+			smoke.Failf("worker-%d log missing 'drained cleanly'", i)
 		}
 	}
 
-	if n := failures.Load(); n > 0 {
+	if n := smoke.Failures(); n > 0 {
 		log.Fatalf("chaos smoke FAILED: %d check(s) failed", n)
 	}
 	log.Printf("chaos smoke PASSED: %d requests, 4 proxy faults + 1 SIGSTOP, 0 lost, max latency %v under a %v budget, breaker cycled, clean drains",

@@ -130,7 +130,8 @@ var (
 
 // resolveTopo maps the -topo flag onto a machine topology: "off" (nil —
 // flat layout), "detect" (probe the host), "paper" (the paper's 2x18x2
-// Xeon E5-2699v3 pair), or an explicit "SxCxP" spec.
+// Xeon E5-2699v3 pair), or an explicit "SxCxP" spec, accepted only in
+// its canonical form (no signs, leading zeros or trailing input).
 func resolveTopo(mode string) (*topo.Topology, error) {
 	switch mode {
 	case "", "off":
@@ -143,10 +144,14 @@ func resolveTopo(mode string) (*topo.Topology, error) {
 		return &t, nil
 	}
 	var s, c, p int
-	if n, err := fmt.Sscanf(mode, "%dx%dx%d", &s, &c, &p); err != nil || n != 3 || s < 1 || c < 1 || p < 1 {
+	if _, err := fmt.Sscanf(mode, "%dx%dx%d", &s, &c, &p); err != nil || fmt.Sprintf("%dx%dx%d", s, c, p) != mode {
 		return nil, fmt.Errorf("bad -topo %q (off|detect|paper|SxCxP)", mode)
 	}
-	return &topo.Topology{Sockets: s, CoresPerSocket: c, PUsPerCore: p}, nil
+	t, err := topo.New(s, c, p)
+	if err != nil {
+		return nil, fmt.Errorf("bad -topo %q: %w", mode, err)
+	}
+	return &t, nil
 }
 
 // dumpTrace snapshots the process-global flight recorder and writes it

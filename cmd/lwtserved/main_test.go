@@ -1,8 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,4 +48,36 @@ func TestHandleDeadlineBoundsWait(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("unbudgeted status = %d, want 200", rec.Code)
 	}
+}
+
+// FuzzResolveTopo: an SxCxP spec is accepted exactly when it is
+// canonical — three positive decimal ints with no sign, leading zero or
+// leftover input — and an accepted spec renders back to the input. It
+// only parses; no server is started.
+func FuzzResolveTopo(f *testing.F) {
+	for _, seed := range []string{"2x18x2", "1x1x1", "2x18x2junk", "2x18x2x9", "+2x18x2", "02x18x2",
+		"2x18", "0x18x2", "2x-1x2", " 2x18x2", "1x1x9223372036854775807", "1x1x9223372036854775808"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if spec == "" || spec == "off" || spec == "detect" || spec == "paper" {
+			return
+		}
+		canonical := true
+		parts := strings.Split(spec, "x")
+		for _, part := range parts {
+			n, err := strconv.Atoi(part)
+			canonical = canonical && err == nil && n >= 1 && strconv.Itoa(n) == part
+		}
+		canonical = canonical && len(parts) == 3
+		tp, err := resolveTopo(spec)
+		if canonical != (err == nil) {
+			t.Fatalf("resolveTopo(%q) err = %v, canonical = %v", spec, err, canonical)
+		}
+		if err == nil {
+			if got := fmt.Sprintf("%dx%dx%d", tp.Sockets, tp.CoresPerSocket, tp.PUsPerCore); got != spec {
+				t.Fatalf("spec %q accepted as %s", spec, got)
+			}
+		}
+	})
 }

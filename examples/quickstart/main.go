@@ -4,14 +4,8 @@
 // function set — open, create, yield, join, finalize — works on all of
 // them, which is exactly the paper's §VIII-C observation.
 //
-// Migrating from the v1 surface is mechanical:
-//
-//	v1 (deprecated)        v2
-//	---------------------  ------------------------------------------------
-//	lwt.New(name, n)       lwt.Open(lwt.Config{Backend: name, Executors: n})
-//	lwt.MustNew(name, n)   lwt.MustOpen(lwt.Config{...})
-//	                       + Config.Scheduler, r.ULTCreateTo, c.ExecutorID,
-//	                         r.NewMutex/NewBarrier/NewCond, c.YieldTo
+// Beyond Listing 4, v2 adds Config.Scheduler, r.ULTCreateTo,
+// c.ExecutorID, r.NewMutex/NewBarrier/NewCond and c.YieldTo.
 //
 //	go run ./examples/quickstart -backend argobots -n 100 -threads 4 -scheduler lifo
 package main

@@ -231,8 +231,7 @@ var (
 	ErrUnsupported = errors.New("core: backend does not support requested capability")
 )
 
-// Config parameterizes Open — the v2 constructor, replacing the v1
-// positional New(name, nthreads).
+// Config parameterizes Open, the runtime constructor.
 type Config struct {
 	// Backend is the registered backend name (see Backends); empty
 	// selects "go".
@@ -332,25 +331,6 @@ func schedulerGapReason(caps Capabilities) string {
 // MustOpen is Open for known-good configurations; it panics on error.
 func MustOpen(cfg Config) *Runtime {
 	r, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// New initializes backend name with nthreads executors.
-//
-// Deprecated: New is the v1 positional constructor kept for migration;
-// use Open, which adds scheduler selection and capability negotiation.
-func New(name string, nthreads int) (*Runtime, error) {
-	return Open(Config{Backend: name, Executors: nthreads})
-}
-
-// MustNew is New for known-good arguments; it panics on error.
-//
-// Deprecated: use MustOpen.
-func MustNew(name string, nthreads int) *Runtime {
-	r, err := New(name, nthreads)
 	if err != nil {
 		panic(err)
 	}

@@ -14,25 +14,25 @@ func lwtBackends() []string {
 }
 
 func TestNewUnknownBackend(t *testing.T) {
-	if _, err := New("bogus", 2); err == nil {
-		t.Fatal("New accepted an unknown backend")
+	if _, err := Open(Config{Backend: "bogus", Executors: 2}); err == nil {
+		t.Fatal("Open accepted an unknown backend")
 	}
 }
 
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MustNew did not panic")
+			t.Fatal("MustOpen did not panic")
 		}
 	}()
-	MustNew("bogus", 2)
+	MustOpen(Config{Backend: "bogus", Executors: 2})
 }
 
 func TestParallelForStaticCovers(t *testing.T) {
 	for _, b := range lwtBackends() {
 		b := b
 		t.Run(b, func(t *testing.T) {
-			rt := MustNew(b, 4)
+			rt := MustOpen(Config{Backend: b, Executors: 4})
 			defer rt.Close()
 			const n = 500
 			hits := make([]atomic.Int32, n)
@@ -50,7 +50,7 @@ func TestParallelForDynamicAndGuided(t *testing.T) {
 	for _, sched := range []Schedule{Dynamic, Guided} {
 		sched := sched
 		t.Run(sched.String(), func(t *testing.T) {
-			rt := MustNew("argobots", 4)
+			rt := MustOpen(Config{Backend: "argobots", Executors: 4})
 			defer rt.Close()
 			const n = 1000
 			hits := make([]atomic.Int32, n)
@@ -65,7 +65,7 @@ func TestParallelForDynamicAndGuided(t *testing.T) {
 }
 
 func TestParallelForEmptyAndTiny(t *testing.T) {
-	rt := MustNew("argobots", 4)
+	rt := MustOpen(Config{Backend: "argobots", Executors: 4})
 	defer rt.Close()
 	rt.ParallelFor(0, Static, 0, func(i int) { t.Error("body ran for n=0") })
 	var count atomic.Int32
@@ -76,7 +76,7 @@ func TestParallelForEmptyAndTiny(t *testing.T) {
 }
 
 func TestParallelTeamAndSingle(t *testing.T) {
-	rt := MustNew("qthreads", 3)
+	rt := MustOpen(Config{Backend: "qthreads", Executors: 3})
 	defer rt.Close()
 	var members atomic.Int32
 	var singles atomic.Int32
@@ -96,7 +96,7 @@ func TestTasksInSingleRegion(t *testing.T) {
 	for _, b := range lwtBackends() {
 		b := b
 		t.Run(b, func(t *testing.T) {
-			rt := MustNew(b, 4)
+			rt := MustOpen(Config{Backend: b, Executors: 4})
 			defer rt.Close()
 			const n = 200
 			var ran atomic.Int64
@@ -116,7 +116,7 @@ func TestTasksInSingleRegion(t *testing.T) {
 }
 
 func TestTaskWaitInsideRegion(t *testing.T) {
-	rt := MustNew("argobots", 4)
+	rt := MustOpen(Config{Backend: "argobots", Executors: 4})
 	defer rt.Close()
 	var before atomic.Int64
 	var waitedOK atomic.Bool
@@ -136,7 +136,7 @@ func TestTaskWaitInsideRegion(t *testing.T) {
 }
 
 func TestNestedTasksViaTaskULT(t *testing.T) {
-	rt := MustNew("argobots", 4)
+	rt := MustOpen(Config{Backend: "argobots", Executors: 4})
 	defer rt.Close()
 	const parents, children = 10, 4
 	var leaves atomic.Int64
@@ -158,7 +158,7 @@ func TestNestedTasksViaTaskULT(t *testing.T) {
 
 func TestNestedParallelFor(t *testing.T) {
 	// Listing 3 on an LWT substrate: work units, not thread teams.
-	rt := MustNew("argobots", 4)
+	rt := MustOpen(Config{Backend: "argobots", Executors: 4})
 	defer rt.Close()
 	const outer, inner = 10, 20
 	hits := make([]atomic.Int32, outer*inner)
@@ -179,7 +179,7 @@ func TestNestedParallelFor(t *testing.T) {
 }
 
 func TestCriticalMutualExclusion(t *testing.T) {
-	rt := MustNew("massivethreads", 4)
+	rt := MustOpen(Config{Backend: "massivethreads", Executors: 4})
 	defer rt.Close()
 	counter := 0 // protected only by Critical
 	rt.ParallelFor(400, Dynamic, 8, func(i int) {
@@ -193,7 +193,7 @@ func TestCriticalMutualExclusion(t *testing.T) {
 
 func TestReduceSum(t *testing.T) {
 	for _, sched := range []Schedule{Static, Dynamic, Guided} {
-		rt := MustNew("argobots", 4)
+		rt := MustOpen(Config{Backend: "argobots", Executors: 4})
 		const n = 1000
 		got := rt.ReduceFloat64(n, sched, 32,
 			func(a, b float64) float64 { return a + b }, 0,
@@ -207,7 +207,7 @@ func TestReduceSum(t *testing.T) {
 }
 
 func TestReduceMax(t *testing.T) {
-	rt := MustNew("go", 3)
+	rt := MustOpen(Config{Backend: "go", Executors: 3})
 	defer rt.Close()
 	got := rt.ReduceFloat64(257, Static, 0,
 		func(a, b float64) float64 {
@@ -223,7 +223,7 @@ func TestReduceMax(t *testing.T) {
 }
 
 func TestReduceEmpty(t *testing.T) {
-	rt := MustNew("argobots", 2)
+	rt := MustOpen(Config{Backend: "argobots", Executors: 2})
 	defer rt.Close()
 	got := rt.ReduceFloat64(0, Static, 0,
 		func(a, b float64) float64 { return a + b }, 0,
@@ -234,7 +234,7 @@ func TestReduceEmpty(t *testing.T) {
 }
 
 func TestTaskLoopCoversRange(t *testing.T) {
-	rt := MustNew("argobots", 4)
+	rt := MustOpen(Config{Backend: "argobots", Executors: 4})
 	defer rt.Close()
 	const n = 333
 	hits := make([]atomic.Int32, n)
@@ -251,7 +251,7 @@ func TestTaskLoopCoversRange(t *testing.T) {
 }
 
 func TestTaskLoopGrainsizeFloor(t *testing.T) {
-	rt := MustNew("go", 2)
+	rt := MustOpen(Config{Backend: "go", Executors: 2})
 	defer rt.Close()
 	var count atomic.Int32
 	rt.Parallel(func(rg *Region, tid int) {
@@ -271,7 +271,7 @@ func TestScheduleStrings(t *testing.T) {
 }
 
 func TestBackendNameExposed(t *testing.T) {
-	rt := MustNew("qthreads", 2)
+	rt := MustOpen(Config{Backend: "qthreads", Executors: 2})
 	defer rt.Close()
 	if rt.Backend() != "qthreads" {
 		t.Fatalf("Backend = %q", rt.Backend())
@@ -284,7 +284,7 @@ func TestBackendNameExposed(t *testing.T) {
 // Property: for any n, threads and schedule, every iteration executes
 // exactly once (the fundamental parallel-for contract).
 func TestParallelForExactlyOnceProperty(t *testing.T) {
-	rt := MustNew("argobots", 3)
+	rt := MustOpen(Config{Backend: "argobots", Executors: 3})
 	defer rt.Close()
 	f := func(n16 uint16, sched8, chunk8 uint8) bool {
 		n := int(n16 % 300)
@@ -307,9 +307,9 @@ func TestParallelForExactlyOnceProperty(t *testing.T) {
 // The directive layer and the Pthreads-style runtime agree on results:
 // a cross-check that omplwt is a faithful OpenMP model.
 func TestAgreesWithCore(t *testing.T) {
-	rt := MustNew("argobots", 4)
+	rt := MustOpen(Config{Backend: "argobots", Executors: 4})
 	defer rt.Close()
-	r := core.MustNew("qthreads", 4)
+	r := core.MustOpen(core.Config{Backend: "qthreads", Executors: 4})
 	defer r.Finalize()
 
 	const n = 300

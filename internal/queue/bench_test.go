@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkQueueOps is the micro-series behind the lock-free hot-path
-// work: each sub-benchmark runs the same operation mix on the lock-free
-// container and on its mutex baseline.
+// work: the deque sub-benchmarks run the same operation mix on the
+// lock-free deque and on its mutex baseline.
 //
 //   - deque-owner: the owner-path push+pop pair with no thieves — the
 //     create/dispatch fast path. The lock-free case must report
@@ -91,5 +91,4 @@ func BenchmarkQueueOps(b *testing.B) {
 		})
 	}
 	b.Run("fifo-mpmc/lock-free", func(b *testing.B) { mpmcLoop(b, NewFIFO(256)) })
-	b.Run("fifo-mpmc/mutex", func(b *testing.B) { mpmcLoop(b, NewMutexFIFO(256)) })
 }

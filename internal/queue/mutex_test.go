@@ -7,52 +7,9 @@ import (
 	"repro/internal/ult"
 )
 
-// The mutex containers are no longer on any hot path, but they remain the
-// benchmark baseline and back the LIFO policy's MPMC + PushTop shape, so
-// they keep their own coverage.
-
-func TestMutexFIFOOrder(t *testing.T) {
-	q := NewMutexFIFO(4)
-	us := mkUnits(10)
-	for _, u := range us {
-		q.Push(u)
-	}
-	if q.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", q.Len())
-	}
-	for i, want := range us {
-		if got := q.Pop(); got != want {
-			t.Fatalf("pop %d out of order", i)
-		}
-	}
-	if q.Pop() != nil {
-		t.Fatal("Pop on empty returned non-nil")
-	}
-	if q.Stats().EmptyPops.Load() != 1 {
-		t.Fatalf("empty pops = %d, want 1", q.Stats().EmptyPops.Load())
-	}
-}
-
-func TestMutexFIFOZeroValueAndGrowth(t *testing.T) {
-	var q MutexFIFO
-	us := mkUnits(100)
-	for i := 0; i < 20; i++ {
-		q.Push(us[i])
-	}
-	for i := 0; i < 10; i++ {
-		if q.Pop() != us[i] {
-			t.Fatalf("wrap pop %d out of order", i)
-		}
-	}
-	for i := 20; i < 100; i++ {
-		q.Push(us[i])
-	}
-	for i := 10; i < 100; i++ {
-		if got := q.Pop(); got != us[i] {
-			t.Fatalf("pop %d: wrong unit after growth", i)
-		}
-	}
-}
+// The mutex deque is no longer on any hot path, but it remains the
+// benchmark baseline and backs the LIFO policy's MPMC + PushTop shape, so
+// it keeps its own coverage.
 
 func TestMutexDequeEnds(t *testing.T) {
 	d := NewMutexDeque(4)

@@ -15,9 +15,9 @@
 //     (Chase–Lev, chaselev.go) run the scheduling hot paths without locks:
 //     owner-side deque operations are plain atomics, steals are a single
 //     CAS, and pushes to the shared queue are one fetch-add.
-//   - MutexFIFO and MutexDeque (this file) are the original mutex-guarded
-//     containers. They remain the measured baseline for the lock-free
-//     ablations and serve the one shape the lock-free deque cannot: fully
+//   - MutexDeque (this file) is the original mutex-guarded deque. It
+//     remains the measured baseline for the lock-free deque ablations
+//     and serves the one shape the lock-free deque cannot: fully
 //     concurrent multi-producer bottom pushes plus PushTop reinsertion,
 //     which the LIFO scheduling policy requires.
 package queue
@@ -121,25 +121,6 @@ func lockCounting(mu *sync.Mutex, st *Stats) {
 	mu.Lock()
 }
 
-// MutexFIFO is a mutex-protected first-in first-out work-unit queue — the
-// original container behind the private per-thread pools, kept as the
-// measured baseline for BenchmarkQueueOps.
-//
-// The zero value is an empty, usable queue.
-type MutexFIFO struct {
-	mu    sync.Mutex
-	buf   []ult.Unit
-	head  int
-	count int
-	stats Stats
-}
-
-// NewMutexFIFO returns an empty MutexFIFO with capacity preallocated for
-// n units.
-func NewMutexFIFO(n int) *MutexFIFO {
-	return &MutexFIFO{buf: make([]ult.Unit, nextPow2(n))}
-}
-
 func nextPow2(n int) int {
 	c := 8
 	for c < n {
@@ -147,59 +128,6 @@ func nextPow2(n int) int {
 	}
 	return c
 }
-
-// Push appends a unit to the tail.
-func (q *MutexFIFO) Push(u ult.Unit) {
-	lockCounting(&q.mu, &q.stats)
-	q.grow()
-	q.buf[(q.head+q.count)&(len(q.buf)-1)] = u
-	q.count++
-	q.stats.Pushes.Add(1)
-	q.mu.Unlock()
-}
-
-// grow doubles the ring when full. Caller holds the lock.
-func (q *MutexFIFO) grow() {
-	if q.buf == nil {
-		q.buf = make([]ult.Unit, 8)
-		return
-	}
-	if q.count < len(q.buf) {
-		return
-	}
-	nb := make([]ult.Unit, len(q.buf)*2)
-	for i := 0; i < q.count; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf = nb
-	q.head = 0
-}
-
-// Pop removes and returns the head unit, or nil if the queue is empty.
-func (q *MutexFIFO) Pop() ult.Unit {
-	lockCounting(&q.mu, &q.stats)
-	defer q.mu.Unlock()
-	if q.count == 0 {
-		q.stats.EmptyPops.Add(1)
-		return nil
-	}
-	u := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.count--
-	q.stats.Pops.Add(1)
-	return u
-}
-
-// Len reports the number of queued units.
-func (q *MutexFIFO) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.count
-}
-
-// Stats exposes the queue's counters.
-func (q *MutexFIFO) Stats() *Stats { return &q.stats }
 
 // MutexDeque is a mutex-protected double-ended work-stealing queue: the
 // owner pushes and pops at the bottom (LIFO, good locality for recursive

@@ -22,7 +22,7 @@ func TestSleepPreservesPlacement(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			const executors = 3
-			r := core.MustNew(name, executors)
+			r := core.MustOpen(core.Config{Backend: name, Executors: executors})
 			defer r.Finalize()
 			caps := r.Caps()
 			n := r.NumExecutors()

@@ -46,7 +46,7 @@ func TestTableIMatchesImplementations(t *testing.T) {
 		if name == "" {
 			continue // Pthreads: reference only
 		}
-		r := core.MustNew(name, 2)
+		r := core.MustOpen(core.Config{Backend: name, Executors: 2})
 		caps := r.Caps()
 		r.Finalize()
 		f := tab[lib]

@@ -32,6 +32,14 @@
 // stops, every shard runs down its queues (bounded by
 // Options.DrainTimeout), and every accepted Future resolves.
 //
+// Admission is a token semaphore per shard: a producer takes one of
+// QueueDepth tokens before it may queue a request, and the pump returns
+// the token when it dequeues. After Close, each pump drains and then
+// takes every token of its own semaphore, rejecting with ErrClosed
+// whatever is queued meanwhile. A producer can push only with a token
+// it holds, so once the pump holds them all nothing can be stranded,
+// and a late Do finds no token and returns ErrClosed.
+//
 // # Adaptive pool
 //
 // The pool reshapes itself around the offered load; three independent
@@ -67,7 +75,7 @@
 //
 // # Observability
 //
-// Server.Metrics returns one Metrics snapshot per shard plus an
+// Server.Snapshot returns one Metrics snapshot per shard plus an
 // aggregate. The counters (Submitted, Completed, Saturated, Canceled,
 // Rejected, Failed, Panicked, Steals, ScaleUps/ScaleDowns) are monotonic
 // over the Server's lifetime — a shard scaled out of the routing set
@@ -81,28 +89,25 @@
 //     subset, so InFlight - IOParked is the work actually occupying the
 //     shard's runtime — the number the router's load estimate and the
 //     saturation checks are really about.
-//   - Drain accounting: after Close, Submitted stops growing, launched
-//     work always runs to completion, and every queued-but-unlaunched
-//     request past the drain deadline resolves its Future with
-//     ErrClosed. When drain returns, InFlight is zero and Submitted ==
-//     Completed + Canceled + Failed + Panicked + the ErrClosed
-//     remainder.
-//   - Deadline accounting: every accepted request resolves exactly once
-//     — Submitted == Completed + Rejected + Expired after drain, summed
-//     across shards. With stealing on, the identity holds in the
-//     aggregate only: Submitted counts at the accepting shard, the
-//     resolution counts at the shard that ran (or shed) the request.
-//     Expired counts requests shed at launch because their deadline
-//     passed (or their context was cancelled) while queued; the handler
-//     body never ran. Canceled counts blocking Submits that gave up
-//     while parked waiting for queue space — those were never accepted,
-//     so they sit outside the identity. A request whose deadline
-//     expires after launch is *not* shed: launched work runs to
-//     completion, but its Ctx's cancellation channel (core.Canceled)
-//     fires so handlers — and any aio park they are blocked in — can
-//     return core.ErrCanceled early. Cancellation is strictly
-//     cooperative: a handler that ignores the channel runs to the end
-//     and counts as Completed.
+//   - Drain accounting: every accepted request resolves exactly once,
+//     so after Close, with InFlight zero,
+//     Submitted == Completed + Rejected + Expired, summed across
+//     shards. Completed includes Failed and Panicked bodies. Rejected
+//     counts requests resolved with ErrClosed unrun: queued past the
+//     drain deadline, or raced into a queue after the drain. With
+//     stealing on, the identity holds in the aggregate only: Submitted
+//     counts at the accepting shard, the resolution counts at the shard
+//     that ran (or shed) the request. Expired counts requests shed at
+//     launch because their deadline passed (or their context was
+//     cancelled) while queued; the handler body never ran. Canceled
+//     counts blocking Dos that gave up while parked waiting for queue
+//     space — those were never accepted, so they sit outside the
+//     identity. A request whose deadline expires after launch is *not*
+//     shed: launched work runs to completion, but its Ctx's
+//     cancellation channel (core.Canceled) fires so handlers — and any
+//     aio park they are blocked in — can return core.ErrCanceled early.
+//     Cancellation is strictly cooperative: a handler that ignores the
+//     channel runs to the end and counts as Completed.
 //   - Latency is recorded per completion into one place: each shard's
 //     lock-free latency counters, the 1-2.5-5 ladder from 1µs to 10s
 //     with every interval split into eight equal counters. Hist is

@@ -23,8 +23,9 @@ var (
 	// directly (re-routing would break affinity).
 	ErrSaturated = errors.New("serve: submission queue saturated")
 	// ErrClosed is returned for submissions to a closed server, and
-	// resolves Futures of requests still queued when the drain deadline
-	// expires at shutdown.
+	// resolves the Futures of requests shutdown does not run: those
+	// still queued at the drain deadline, and those that raced Close
+	// into a queue after its drain.
 	ErrClosed = errors.New("serve: server closed")
 	// ErrExpired resolves the Future of a deadline-carrying request
 	// whose budget ran out before launch: the pump sheds it from the
@@ -43,9 +44,9 @@ const (
 	// DefaultTraceSample is the request-trace sampling interval: one
 	// request in every DefaultTraceSample emits its KindUser interval.
 	DefaultTraceSample = 8
-	// DefaultStealInterval is how often an idle shard re-scans the pool
-	// for a steal victim while parked (Options.Steal).
-	DefaultStealInterval = time.Millisecond
+	// stealInterval is how often an idle shard re-scans the pool for a
+	// steal victim while parked (Options.Steal).
+	stealInterval = time.Millisecond
 	// slowTraceCutoff bypasses sampling: any request at least this slow
 	// is always traced, so the flight recorder never misses a tail-
 	// latency outlier between samples.
@@ -106,12 +107,9 @@ type Options struct {
 	// pinned shard's pump drains — so the affinity contract holds
 	// verbatim. Stolen requests count as Submitted on the shard that
 	// accepted them and Completed on the shard that ran them; the
-	// aggregate drain identity is unaffected.
+	// aggregate drain identity is unaffected. An idle shard re-scans
+	// for victims every millisecond while parked.
 	Steal bool
-	// StealInterval is how often an idle shard wakes from its park to
-	// re-scan for steal victims; <= 0 means DefaultStealInterval.
-	// Ignored without Steal.
-	StealInterval time.Duration
 	// Scale arms the shard autoscaler when Scale.MaxShards exceeds
 	// Shards; see AutoScale.
 	Scale AutoScale
@@ -265,24 +263,21 @@ func (sh *shard) load() int {
 	return int(sh.queued.Load() + sh.inflight.Load())
 }
 
-// queueFor picks the request's admission channel by affinity.
-func (sh *shard) queueFor(r *request) chan *request {
-	if r.keyed {
-		return sh.keyed
-	}
-	return sh.unkeyed
-}
-
 // push settles the admission accounting and buffers one request whose
 // token the caller already holds — the single place the accepted-
-// submission counters are bumped, shared by the non-blocking and
-// parked paths. The channel send cannot block: each queue's capacity
-// matches the token count.
+// submission counters are bumped. The shard's running Submitted count
+// doubles as the request id, with the shard index in the high bits so
+// ids stay unique on a thief's lane. The channel send cannot block:
+// each queue's capacity matches the token count.
 func (sh *shard) push(r *request) {
 	r.shard = sh
+	r.id = sh.m.submitted.Add(1) | uint64(sh.id)<<48
 	sh.queued.Add(1)
-	sh.m.submitted.Add(1)
-	sh.queueFor(r) <- r
+	if r.keyed {
+		sh.keyed <- r
+	} else {
+		sh.unkeyed <- r
+	}
 }
 
 // pop settles the dequeue side: one queued-counter decrement and one
@@ -302,6 +297,33 @@ func (sh *shard) tryEnqueue(r *request) bool {
 	}
 	sh.push(r)
 	return true
+}
+
+// take receives one queued request without blocking, keyed first —
+// only this shard's pump can serve those, while queued unkeyed work may
+// still be rescued by a thief — and settles its token. Nil means both
+// queues are empty.
+func (sh *shard) take() *request {
+	var r *request
+	select {
+	case r = <-sh.keyed:
+	default:
+		select {
+		case r = <-sh.unkeyed:
+		default:
+			return nil
+		}
+	}
+	sh.pop()
+	return r
+}
+
+// reject resolves a request received at shutdown with ErrClosed
+// instead of running it; its token is released.
+func (sh *shard) reject(r *request) {
+	sh.pop()
+	sh.m.rejected.Add(1)
+	r.fail(ErrClosed)
 }
 
 // Server is a request-serving engine over a pool of backend runtimes.
@@ -338,8 +360,6 @@ type Server struct {
 
 	quit   chan struct{}
 	closed atomic.Bool
-	active atomic.Int64 // producers currently inside a submit call
-	nextID atomic.Uint64
 	start  time.Time
 	// drainBy is the shutdown deadline in unix nanoseconds (0 = none).
 	// It is written before quit closes, so pumps that observed the
@@ -407,9 +427,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.TraceSample <= 0 {
 		opts.TraceSample = DefaultTraceSample
-	}
-	if opts.StealInterval <= 0 {
-		opts.StealInterval = DefaultStealInterval
 	}
 	if opts.Scale.MaxShards < opts.Shards {
 		opts.Scale.MaxShards = opts.Shards // autoscaling off
@@ -599,24 +616,13 @@ func (sh *shard) pump(ready chan<- error) {
 		// The gate meters executor occupancy, not liveness: work units
 		// parked on the async-I/O reactor hold no executor, so they are
 		// discounted and the shard keeps admitting while they wait.
-		// Keyed requests drain first — only this pump can serve them,
-		// while queued unkeyed work may still be rescued by a thief.
 		for len(batch) < s.opts.Batch && int(sh.inflight.Load()-sh.ioparked.Load())+len(batch) < s.opts.MaxInFlight {
-			select {
-			case r := <-sh.keyed:
-				sh.pop()
-				batch = append(batch, r)
-			default:
-				select {
-				case r := <-sh.unkeyed:
-					sh.pop()
-					batch = append(batch, r)
-				default:
-					goto collected
-				}
+			r := sh.take()
+			if r == nil {
+				break
 			}
+			batch = append(batch, r)
 		}
-	collected:
 		if len(batch) == 0 && s.opts.Steal {
 			// Own queues empty (or occupancy at cap — the steal helper
 			// rechecks capacity): be a thief before being idle.
@@ -642,9 +648,9 @@ func (sh *shard) pump(ready chan<- error) {
 				var wakeC <-chan time.Time
 				if s.opts.Steal {
 					if wake == nil {
-						wake = time.NewTimer(s.opts.StealInterval)
+						wake = time.NewTimer(stealInterval)
 					} else {
-						wake.Reset(s.opts.StealInterval)
+						wake.Reset(stealInterval)
 					}
 					wakeC = wake.C
 				}
@@ -735,18 +741,17 @@ func (sh *shard) stealInto(batch *[]*request) {
 // counts as Expired in the drain identity
 // (Submitted == Completed + Rejected + Expired).
 func (sh *shard) launch(rt *core.Runtime, r *request) {
+	var err error
 	if r.ctx != nil {
-		if err := r.ctx.Err(); err != nil {
-			sh.m.expired.Add(1)
-			sh.ring.Instant(trace.KindCancel, r.id)
-			r.fail(err)
-			return
-		}
+		err = r.ctx.Err()
 	}
-	if !r.deadline.IsZero() && !time.Now().Before(r.deadline) {
+	if err == nil && !r.deadline.IsZero() && !time.Now().Before(r.deadline) {
+		err = ErrExpired
+	}
+	if err != nil {
 		sh.m.expired.Add(1)
 		sh.ring.Instant(trace.KindCancel, r.id)
-		r.fail(ErrExpired)
+		r.fail(err)
 		return
 	}
 	sh.inflight.Add(1)
@@ -759,54 +764,41 @@ func (sh *shard) launch(rt *core.Runtime, r *request) {
 
 // shutdown drains one shard on its pump goroutine: accepted requests
 // run to completion (until the drain deadline, after which they resolve
-// to ErrClosed unrun), in-flight work is driven until done, straggling
-// producers are waited out and anything they enqueued is rejected, then
-// the shard's backend is finalized. Every accepted Future resolves.
+// to ErrClosed unrun), admission is closed, in-flight work is driven
+// until done, then the shard's backend is finalized. Every accepted
+// Future resolves.
 func (sh *shard) shutdown(rt *core.Runtime) {
-	defer close(sh.done)
 	s := sh.s
 	deadline := s.drainBy.Load()
-	expired := func() bool {
-		return deadline != 0 && time.Now().UnixNano() >= deadline
-	}
-	reject := func(r *request) {
-		sh.pop()
-		sh.m.rejected.Add(1)
-		r.fail(ErrClosed)
-	}
 	// Run everything accepted before Close, paced at MaxInFlight so the
-	// drain cannot overload the backend. Past the deadline, requests
-	// still queued resolve to ErrClosed instead of running.
-drain:
-	for {
-		if expired() {
-			for {
-				select {
-				case r := <-sh.keyed:
-					reject(r)
-					continue
-				case r := <-sh.unkeyed:
-					reject(r)
-					continue
-				default:
-				}
-				break drain
-			}
-		}
+	// drain cannot overload the backend. Past the deadline, the loop
+	// below rejects what is still queued — before the in-flight wait, so
+	// a slow body cannot hold queued requests past the deadline.
+	for deadline == 0 || time.Now().UnixNano() < deadline {
 		if int(sh.inflight.Load()-sh.ioparked.Load()) >= s.opts.MaxInFlight {
 			rt.Yield()
 			runtime.Gosched()
 			continue
 		}
+		r := sh.take()
+		if r == nil {
+			break
+		}
+		sh.launch(rt, r)
+	}
+	// Close admission by taking every token of the shard's semaphore. A
+	// producer pushes only with a token it holds, so a submission racing
+	// Close either is queued — rejected here, which frees its token — or
+	// finds no token and returns ErrClosed. Once the pump holds all of
+	// them nothing can be stranded.
+	for held := 0; held < cap(sh.slots); {
 		select {
+		case sh.slots <- struct{}{}:
+			held++
 		case r := <-sh.keyed:
-			sh.pop()
-			sh.launch(rt, r)
+			sh.reject(r)
 		case r := <-sh.unkeyed:
-			sh.pop()
-			sh.launch(rt, r)
-		default:
-			break drain
+			sh.reject(r)
 		}
 	}
 	// Launched work always runs to completion — a live work unit cannot
@@ -816,38 +808,9 @@ drain:
 		rt.Yield()
 		runtime.Gosched()
 	}
-	// Producers that passed the closed check concurrently with Close
-	// are counted in active; drain-reject until they are gone so no
-	// Future is left unresolved and no producer is left blocked. The
-	// counter is server-wide (a straggler may target any shard), so
-	// every shard holds its queues open until the last producer exits.
-	for s.active.Load() > 0 {
-		select {
-		case r := <-sh.keyed:
-			reject(r)
-		case r := <-sh.unkeyed:
-			reject(r)
-		default:
-			runtime.Gosched()
-		}
-	}
-	// A straggler's enqueue happens before its active-counter
-	// decrement, so once active reached zero everything it sent is
-	// already buffered; one final sweep resolves it.
-	for {
-		select {
-		case r := <-sh.keyed:
-			reject(r)
-			continue
-		case r := <-sh.unkeyed:
-			reject(r)
-			continue
-		default:
-		}
-		break
-	}
 	rt.Finalize()
 	sh.ring.Close()
+	close(sh.done)
 }
 
 // finish settles one completed request's accounting and trace. The
@@ -856,9 +819,11 @@ drain:
 // so the always-on recorder charges the hot path one mask compare per
 // untraced request. Slow requests bypass the sampler: the window always
 // holds the outliers a post-incident dump is taken for.
+//
+// The in-flight decrement comes last: a drain that reads zero in flight
+// sees every completion counted and traced.
 func (sh *shard) finish(r *request) {
 	lat := time.Since(r.enq)
-	sh.inflight.Add(-1)
 	sh.m.observe(lat)
 	if r.stopCancel != nil {
 		// Release the deadline timer armed by cancelSignal. Same
@@ -869,6 +834,7 @@ func (sh *shard) finish(r *request) {
 	if r.id&sh.s.traceMask == 0 || lat >= slowTraceCutoff {
 		sh.ring.EmitAt(trace.KindUser, r.id, r.enq, lat)
 	}
+	sh.inflight.Add(-1)
 }
 
 // ioParkable mirrors the async-I/O layer's park hook: a backend context
@@ -933,10 +899,9 @@ func (sub *Submitter) Server() *Server { return sub.s }
 // end-to-end latency. That is deliberate — measuring from intended
 // arrival rather than from admission is what keeps open-loop percentiles
 // honest under backpressure (no coordinated omission).
-func makeRequest[T any](s *Server, ctx context.Context, deadline time.Time, ult bool, fn func(core.Ctx) (T, error)) (*request, *Future[T]) {
+func makeRequest[T any](ctx context.Context, deadline time.Time, ult bool, fn func(core.Ctx) (T, error)) (*request, *Future[T]) {
 	f := newFuture[T]()
 	r := &request{
-		id:       s.nextID.Add(1),
 		ctx:      ctx,
 		ult:      ult,
 		enq:      time.Now(),
@@ -993,94 +958,54 @@ func DoULT[T any](sub *Submitter, ctx context.Context, fn func(core.Ctx) (T, err
 	return do(sub, ctx, true, fn, req)
 }
 
-// do resolves Req into the admission path: key to pin, NonBlocking to
-// fast-reject versus park.
+// do is the one admission path. A keyed request goes to its key's base
+// shard, an unkeyed one to the router's pick, and either is first tried
+// without blocking. Only when that shard is full do the modes part: an
+// unkeyed request turns to the least-loaded shard — tried once by a
+// non-blocking Do, parked on by a blocking one — while a keyed request
+// stays put (re-routing would break affinity). A non-blocking Do that
+// still finds no room returns ErrSaturated, or ErrClosed once Close has
+// begun taking the tokens back. A blocking Do parks until room frees,
+// ctx is cancelled, the deadline passes (explicit, or adopted from ctx)
+// or the server closes.
 func do[T any](sub *Submitter, ctx context.Context, ult bool, fn func(core.Ctx) (T, error), req Req) (*Future[T], error) {
-	pin := -1
-	if req.Key != "" {
-		pin = sub.s.ShardOf(req.Key)
-	}
-	if req.NonBlocking {
-		return trySubmit(sub, ctx, req.Deadline, pin, ult, fn)
-	}
-	return submit(sub, ctx, req.Deadline, pin, ult, fn)
-}
-
-// trySubmit is the non-blocking admission path with two-level admission:
-// the router's pick is tried first; if that shard's queue is full the
-// request is re-routed once to the least-loaded shard before
-// ErrSaturated surfaces. pin >= 0 bypasses the router and disables the
-// re-route (keyed affinity).
-func trySubmit[T any](sub *Submitter, ctx context.Context, deadline time.Time, pin int, ult bool, fn func(core.Ctx) (T, error)) (*Future[T], error) {
 	s := sub.s
-	s.active.Add(1)
-	defer s.active.Add(-1)
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	r, f := makeRequest(s, ctx, deadline, ult, fn)
-	if pin >= 0 {
-		r.keyed = true
-		sh := s.keyedShard(pin)
-		if sh.tryEnqueue(r) {
-			return f, nil
-		}
-		sh.m.saturated.Add(1)
-		return nil, ErrSaturated
-	}
-	set := s.shards()
-	sh := set[s.router.Pick(len(set), func(i int) int { return set[i].load() })]
-	if sh.tryEnqueue(r) {
-		return f, nil
-	}
-	if alt := leastLoaded(set); alt != sh && alt.tryEnqueue(r) {
-		return f, nil
-	}
-	sh.m.saturated.Add(1)
-	return nil, ErrSaturated
-}
-
-// keyedShard resolves a keyed pin onto its base shard. baseShards is
-// immutable after New (the autoscaler appends to all, never here), so
-// the read needs no lock.
-func (s *Server) keyedShard(pin int) *shard {
-	return s.baseShards[pin%s.base]
-}
-
-// submit is the blocking admission path with context cancellation: it
-// first tries the router's pick without blocking, then parks on the
-// least-loaded shard. pin >= 0 pins both attempts to one shard (keyed
-// affinity). A deadline — explicit, or adopted from the submission
-// context — bounds the park too: a request that cannot even enqueue
-// inside its budget returns ErrExpired instead of blocking past it.
-func submit[T any](sub *Submitter, ctx context.Context, deadline time.Time, pin int, ult bool, fn func(core.Ctx) (T, error)) (*Future[T], error) {
-	s := sub.s
-	s.active.Add(1)
-	defer s.active.Add(-1)
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	adopted := false // deadline came from ctx, whose Done covers the park
-	if ctx != nil {
+	deadline, adopted := req.Deadline, false // adopted: ctx.Done covers the park
+	if ctx != nil && !req.NonBlocking {
 		if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
-			deadline = dl
-			adopted = true
+			deadline, adopted = dl, true
 		}
 	}
-	r, f := makeRequest(s, ctx, deadline, ult, fn)
+	r, f := makeRequest(ctx, deadline, ult, fn)
+	set := s.shards()
 	var sh *shard
-	if pin >= 0 {
+	if req.Key != "" {
 		r.keyed = true
-		sh = s.keyedShard(pin)
+		sh = s.baseShards[keyShard(req.Key, s.base)]
 	} else {
-		set := s.shards()
 		sh = set[s.router.Pick(len(set), func(i int) int { return set[i].load() })]
 	}
 	if sh.tryEnqueue(r) {
 		return f, nil
 	}
-	if pin < 0 {
-		sh = leastLoaded(s.shards())
+	if !r.keyed {
+		if alt := leastLoaded(set); alt != sh {
+			if !req.NonBlocking {
+				sh = alt
+			} else if alt.tryEnqueue(r) {
+				return f, nil
+			}
+		}
+	}
+	if req.NonBlocking {
+		if s.closed.Load() {
+			return nil, ErrClosed
+		}
+		sh.m.saturated.Add(1)
+		return nil, ErrSaturated
 	}
 	var cancel <-chan struct{}
 	if ctx != nil {
@@ -1108,7 +1033,7 @@ func submit[T any](sub *Submitter, ctx context.Context, deadline time.Time, pin 
 		return nil, ctx.Err()
 	case <-expire:
 		sh.m.canceled.Add(1)
-		// A deadline adopted from ctx races ctx.Done here; surface the
+		// ctx may have been cancelled at the same instant; surface the
 		// context's own error so callers see the sentinel they armed.
 		if ctx != nil && ctx.Err() != nil {
 			return nil, ctx.Err()

@@ -213,71 +213,94 @@ func TestReRouteOnSaturation(t *testing.T) {
 // TestCloseVsSubmitRace is the regression for the drain rewrite: Close
 // racing concurrent blocking and non-blocking submits must leave no
 // accepted Future unresolved and no producer blocked — every submission
-// either errors at the call or resolves. Run under -race in CI.
+// either errors at the call or resolves — and the aggregate drain
+// identity must hold. The stealing input also arms the autoscaler and
+// starts with a dynamic shard in the routing set and a scaled-out one
+// parked warm, so thieves and dynamic shards race the token close too.
+// Run under -race in CI.
 func TestCloseVsSubmitRace(t *testing.T) {
-	for round := 0; round < 25; round++ {
-		s := MustNew(Options{
-			Backend: "go", Threads: 1, Shards: 2,
-			QueueDepth: 8, MaxInFlight: 4, Batch: 2,
-		})
-		sub := s.Submitter()
-		var mu sync.Mutex
-		var accepted []*Future[int]
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for p := 0; p < 4; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					var f *Future[int]
-					var err error
-					switch i % 3 {
-					case 0:
-						f, err = Do(sub, nil, func() (int, error) { return i, nil }, Req{NonBlocking: true})
-					case 1:
-						f, err = Do(sub, context.Background(), func() (int, error) { return i, nil }, Req{})
-					default:
-						f, err = Do(sub, context.Background(), func() (int, error) { return i, nil }, Req{Key: "key"})
-					}
-					if err != nil {
-						if errors.Is(err, ErrClosed) {
-							return // server closed mid-race: the expected exit
-						}
-						if errors.Is(err, ErrSaturated) {
-							continue
-						}
-						t.Errorf("submit: %v", err)
-						return
-					}
-					mu.Lock()
-					accepted = append(accepted, f)
-					mu.Unlock()
+	base := Options{
+		Backend: "go", Threads: 1, Shards: 2,
+		QueueDepth: 8, MaxInFlight: 4, Batch: 2,
+	}
+	stealing := base
+	stealing.Steal = true
+	stealing.Scale = AutoScale{MaxShards: 4, Interval: time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{{"plain", base}, {"steal+scale", stealing}} {
+		for round := 0; round < 25; round++ {
+			s := MustNew(tc.opts)
+			if tc.opts.Steal {
+				if !s.grow() || !s.grow() || !s.shrink() {
+					t.Fatalf("round %d: grow/grow/shrink did not apply", round)
 				}
-			}(p)
-		}
-		// Let the producers get going, then slam the door.
-		time.Sleep(time.Duration(round%5) * 100 * time.Microsecond)
-		s.Close()
-		close(stop)
-		wg.Wait()
-		// Every accepted Future must resolve — to a value or ErrClosed —
-		// without hanging.
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		for i, f := range accepted {
-			if _, err := f.Wait(ctx); err != nil && !errors.Is(err, ErrClosed) {
-				t.Fatalf("round %d: future %d resolved to %v", round, i, err)
 			}
-			if !f.Ready() {
-				t.Fatalf("round %d: future %d not resolved after Close", round, i)
+			sub := s.Submitter()
+			var mu sync.Mutex
+			var accepted []*Future[int]
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for p := 0; p < 4; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						var f *Future[int]
+						var err error
+						switch i % 3 {
+						case 0:
+							f, err = Do(sub, nil, func() (int, error) { return i, nil }, Req{NonBlocking: true})
+						case 1:
+							f, err = Do(sub, context.Background(), func() (int, error) { return i, nil }, Req{})
+						default:
+							f, err = Do(sub, context.Background(), func() (int, error) { return i, nil }, Req{Key: "key"})
+						}
+						if err != nil {
+							if errors.Is(err, ErrClosed) {
+								return // server closed mid-race: the expected exit
+							}
+							if errors.Is(err, ErrSaturated) {
+								continue
+							}
+							t.Errorf("%s: submit: %v", tc.name, err)
+							return
+						}
+						mu.Lock()
+						accepted = append(accepted, f)
+						mu.Unlock()
+					}
+				}(p)
+			}
+			// Let the producers get going, then slam the door.
+			time.Sleep(time.Duration(round%5) * 100 * time.Microsecond)
+			s.Close()
+			close(stop)
+			wg.Wait()
+			// Every accepted Future must resolve — to a value or ErrClosed —
+			// without hanging.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			for i, f := range accepted {
+				if _, err := f.Wait(ctx); err != nil && !errors.Is(err, ErrClosed) {
+					t.Fatalf("%s round %d: future %d resolved to %v", tc.name, round, i, err)
+				}
+				if !f.Ready() {
+					t.Fatalf("%s round %d: future %d not resolved after Close", tc.name, round, i)
+				}
+			}
+			cancel()
+			m := s.Metrics()
+			if m.Submitted != uint64(len(accepted)) || m.Submitted != m.Completed+m.Rejected+m.Expired {
+				t.Fatalf("%s round %d: drain identity broken: accepted=%d submitted=%d completed=%d rejected=%d expired=%d",
+					tc.name, round, len(accepted), m.Submitted, m.Completed, m.Rejected, m.Expired)
 			}
 		}
-		cancel()
 	}
 }
 

@@ -39,17 +39,15 @@
 //	r.Yield()
 //	r.JoinAll(hs)
 //
-// Migration from the v1 positional surface:
+// What v2 adds over the v1 positional surface:
 //
-//	v1 (deprecated)               v2
-//	----------------------------  --------------------------------------------------
-//	lwt.New(name, n)              lwt.Open(lwt.Config{Backend: name, Executors: n})
-//	lwt.MustNew(name, n)          lwt.MustOpen(lwt.Config{...})
-//	(not expressible)             Config.Scheduler: "fifo" | "lifo" | "priority" | "random"
-//	(not expressible)             r.ULTCreateTo(i, fn), c.ULTCreateTo(i, fn)
-//	(not expressible)             r.NumExecutors(), c.ExecutorID()
-//	(backend-private)             r.NewMutex(), r.NewBarrier(n), r.NewCond(m)
-//	(backend-private)             c.YieldTo(h)
+//	v1                 v2
+//	-----------------  --------------------------------------------------
+//	(not expressible)  Config.Scheduler: "fifo" | "lifo" | "priority" | "random"
+//	(not expressible)  r.ULTCreateTo(i, fn), c.ULTCreateTo(i, fn)
+//	(not expressible)  r.NumExecutors(), c.ExecutorID()
+//	(backend-private)  r.NewMutex(), r.NewBarrier(n), r.NewCond(m)
+//	(backend-private)  c.YieldTo(h)
 //
 // Capability negotiation: every Config request is checked against the
 // backend's Capabilities at Open. What the backend cannot honor degrades
@@ -172,22 +170,6 @@ func Open(cfg Config) (*Runtime, error) { return core.Open(cfg) }
 
 // MustOpen is Open for known-good configurations; it panics on error.
 func MustOpen(cfg Config) *Runtime { return core.MustOpen(cfg) }
-
-// New initializes the named backend with nthreads executors.
-//
-// Deprecated: New is the v1 positional constructor kept for migration;
-// use Open, which adds scheduler selection, placement and capability
-// negotiation.
-func New(backend string, nthreads int) (*Runtime, error) {
-	return core.New(backend, nthreads)
-}
-
-// MustNew is New for known-good arguments; it panics on error.
-//
-// Deprecated: use MustOpen.
-func MustNew(backend string, nthreads int) *Runtime {
-	return core.MustNew(backend, nthreads)
-}
 
 // Backends lists the registered backend names, sorted.
 func Backends() []string { return core.Backends() }

@@ -39,22 +39,6 @@ func TestPublicAPIUnknownBackend(t *testing.T) {
 	}
 }
 
-// TestPublicAPIDeprecatedConstructor pins the v1 wrapper to the v2 path:
-// New(name, n) must behave exactly like Open(Config{Backend, Executors}).
-func TestPublicAPIDeprecatedConstructor(t *testing.T) {
-	r, err := lwt.New("go", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Finalize()
-	if r.NumExecutors() != 2 {
-		t.Fatalf("NumExecutors = %d, want 2", r.NumExecutors())
-	}
-	if got := r.Config().Executors; got != 2 {
-		t.Fatalf("Config().Executors = %d, want 2", got)
-	}
-}
-
 // TestPublicAPISchedulerAndSync drives the v2 additions end to end on a
 // pinning backend: scheduler selection, placement, and a lock held
 // across a yield.
